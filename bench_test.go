@@ -82,7 +82,7 @@ func BenchmarkE4BaselineOddEven(b *testing.B) {
 	var steps int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := baseline.RunOddEven(s, keys)
+		res, err := baseline.RunOddEven(s, keys, baseline.RunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func BenchmarkE4BaselineShearSort(b *testing.B) {
 	var steps int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := baseline.ShearSort(s, keys, baseline.ShearSortOpts{Pool: pool})
+		res, err := baseline.ShearSort(s, keys, baseline.RunOpts{Pool: pool})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,13 +7,6 @@ import (
 	"runtime/pprof"
 )
 
-// stopProfiles finalizes any profiles requested via -cpuprofile or
-// -memprofile. It is installed by startProfiles and must run on every
-// exit path: main defers it, and fail() calls it explicitly because
-// os.Exit skips deferred calls. The default is a no-op so error paths
-// before flag parsing are safe.
-var stopProfiles = func() {}
-
 // startProfiles starts a CPU profile and/or arranges a heap profile at
 // exit, returning the (idempotent) stop function that flushes and closes
 // them. Empty paths disable the respective profile. The heap profile is

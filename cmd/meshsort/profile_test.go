@@ -7,8 +7,7 @@ import (
 )
 
 // TestStartProfilesWritesFiles: both profiles land on disk, non-empty,
-// and the stop function is idempotent (fail() and main's defer may both
-// call it).
+// and the stop function is idempotent (a second call is a no-op).
 func TestStartProfilesWritesFiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")

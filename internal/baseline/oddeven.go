@@ -103,12 +103,12 @@ func OddEvenSnakeSort(net *engine.Net, sc *index.Scheme) (OddEvenResult, error) 
 // RunOddEven builds a network from keys (one per processor, canonical
 // rank order) and sorts it with OddEvenSnakeSort under the plain snake
 // scheme, as a one-phase pipeline program.
-func RunOddEven(s grid.Shape, keys []int64) (OddEvenResult, error) {
+func RunOddEven(s grid.Shape, keys []int64, opts RunOpts) (OddEvenResult, error) {
 	var res OddEvenResult
 	if err := s.Validate(); err != nil {
 		return res, fmt.Errorf("baseline: %w", err)
 	}
-	runner := pipeline.New(pipeline.Config{Shape: s})
+	runner := opts.runner(s)
 	if _, err := runner.InjectKeys(1, keys); err != nil {
 		return res, err
 	}

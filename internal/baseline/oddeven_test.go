@@ -23,7 +23,7 @@ func randomKeys(n int, seed uint64) []int64 {
 func TestOddEvenSorts(t *testing.T) {
 	for _, s := range []grid.Shape{grid.New(1, 16), grid.New(2, 8), grid.New(3, 4), grid.New(2, 16)} {
 		keys := randomKeys(s.N(), 3)
-		res, err := RunOddEven(s, keys)
+		res, err := RunOddEven(s, keys, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestOddEvenQuickProperty(t *testing.T) {
 		for i := range keys {
 			keys[i] = int64(raw[i])
 		}
-		res, err := RunOddEven(s, keys)
+		res, err := RunOddEven(s, keys, RunOpts{})
 		return err == nil && res.Sorted
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -83,7 +83,7 @@ func TestOddEvenAlreadySortedIsFast(t *testing.T) {
 	for i := range keys {
 		keys[i] = int64(i)
 	}
-	res, err := RunOddEven(s, keys)
+	res, err := RunOddEven(s, keys, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestOddEvenWorstCaseIsLinear(t *testing.T) {
 	for i := range keys {
 		keys[i] = int64(32 - i)
 	}
-	res, err := RunOddEven(s, keys)
+	res, err := RunOddEven(s, keys, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestOddEvenRejectsMultiPacket(t *testing.T) {
 }
 
 func TestRunOddEvenRejectsWrongKeyCount(t *testing.T) {
-	if _, err := RunOddEven(grid.New(2, 4), make([]int64, 3)); err == nil {
+	if _, err := RunOddEven(grid.New(2, 4), make([]int64, 3), RunOpts{}); err == nil {
 		t.Error("accepted wrong key count")
 	}
 }

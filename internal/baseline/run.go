@@ -9,9 +9,10 @@ import (
 	"meshsort/internal/pipeline"
 )
 
-// ShearSortOpts configures a standalone ShearSort run.
-type ShearSortOpts struct {
-	Workers int // engine shard workers; 0 means GOMAXPROCS
+// RunOpts configures a standalone baseline run (ShearSort, RunOddEven).
+// Callers that want a fixed engine worker count pass a Pool of that
+// size; without one every phase uses GOMAXPROCS workers.
+type RunOpts struct {
 	// ShardShift overrides the engine's shard sizing (log2 processors
 	// per shard; 0 means automatic, see engine.Net.ShardShift).
 	ShardShift int
@@ -21,6 +22,25 @@ type ShearSortOpts struct {
 	Pool *engine.Pool
 	// Observer, if set, receives the run's PhaseStat when it completes.
 	Observer pipeline.Observer
+	// Runner, if non-nil, is Reset to the run's configuration and reused
+	// instead of building a fresh runner (the service's warm runners).
+	Runner *pipeline.Runner
+}
+
+// runner returns the run's pipeline runner on shape s: opts.Runner
+// Reset in place, or a fresh one.
+func (opts RunOpts) runner(s grid.Shape) *pipeline.Runner {
+	cfg := pipeline.Config{
+		Shape:      s,
+		ShardShift: opts.ShardShift,
+		Pool:       opts.Pool,
+		Observer:   opts.Observer,
+	}
+	if opts.Runner != nil {
+		opts.Runner.Reset(cfg)
+		return opts.Runner
+	}
+	return pipeline.New(cfg)
 }
 
 // ShearSortResult reports a standalone in-mesh shearsort run.
@@ -40,18 +60,12 @@ type ShearSortResult struct {
 // baseline that SimpleSort's block-local phases reuse (see
 // core.Config.RealLocalSort); run standalone it shows why shearing the
 // whole mesh loses to the paper's block-then-route structure.
-func ShearSort(s grid.Shape, keys []int64, opts ShearSortOpts) (ShearSortResult, error) {
+func ShearSort(s grid.Shape, keys []int64, opts RunOpts) (ShearSortResult, error) {
 	if err := s.Validate(); err != nil {
 		return ShearSortResult{}, fmt.Errorf("baseline: %w", err)
 	}
 	res := ShearSortResult{Diameter: s.Diameter()}
-	runner := pipeline.New(pipeline.Config{
-		Shape:      s,
-		Workers:    opts.Workers,
-		ShardShift: opts.ShardShift,
-		Pool:       opts.Pool,
-		Observer:   opts.Observer,
-	})
+	runner := opts.runner(s)
 	if _, err := runner.InjectKeys(1, keys); err != nil {
 		return res, err
 	}

@@ -198,7 +198,7 @@ func BenchmarkOddEvenSnakeSort(b *testing.B) {
 	keys := randomKeys(s.N(), 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunOddEven(s, keys); err != nil {
+		if _, err := RunOddEven(s, keys, RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,10 +209,10 @@ func BenchmarkOddEvenSnakeSort(b *testing.B) {
 // or an engine panic.
 func TestDegenerateShapeErrors(t *testing.T) {
 	for _, s := range []grid.Shape{{Dim: 0, Side: 8}, {Dim: 2, Side: 1}} {
-		if _, err := ShearSort(s, nil, ShearSortOpts{}); err == nil {
+		if _, err := ShearSort(s, nil, RunOpts{}); err == nil {
 			t.Errorf("ShearSort accepted degenerate shape %+v", s)
 		}
-		if _, err := RunOddEven(s, nil); err == nil {
+		if _, err := RunOddEven(s, nil, RunOpts{}); err == nil {
 			t.Errorf("RunOddEven accepted degenerate shape %+v", s)
 		}
 	}

@@ -2377,11 +2377,11 @@ func (st *stepState) deliverShard(w, sh, lo, hi int) {
 	// reads. Claimed bits are cleared with plain stores when a word
 	// belongs wholly to this shard (shardShift >= 6, the default);
 	// smaller shards share words across workers and mask their bits out
-	// atomically.
+	// atomically, so the reads are atomic loads (plain loads on amd64).
 	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
 		var word uint64
 		for _, bm := range st.inboxBits {
-			word |= bm[wi]
+			word |= atomic.LoadUint64(&bm[wi])
 		}
 		if word == 0 {
 			continue
@@ -2616,23 +2616,4 @@ func (st *stepState) checkInvariants(total int) error {
 		return fmt.Errorf("engine: invariant violated: %d packets in the network, %d activated", count, total)
 	}
 	return nil
-}
-
-// Snapshot returns the current processor of every packet in the network
-// (moving and held), keyed by packet id. Intended for OnStep inspection
-// and tests; O(N + packets).
-func (n *Net) Snapshot() map[int]int {
-	out := make(map[int]int, n.nextID)
-	for r := range n.procs {
-		for _, e := range n.procs[r].moving {
-			out[n.pkt(e.id).ID] = r
-		}
-		for _, id := range n.procs[r].held {
-			out[n.pkt(id).ID] = r
-		}
-		// Packets sitting in outgoing slots between phases do not exist:
-		// Route always completes the delivery phase before returning or
-		// invoking OnStep, so out slots are empty here.
-	}
-	return out
 }

@@ -89,7 +89,7 @@ func E4Baselines(o Options) *stats.Table {
 	// Odd-even transposition on a smaller mesh (Theta(N) steps).
 	small := grid.New(3, 8)
 	keys := core.RandomKeys(small, 1, o.seed())
-	oe, err := baseline.RunOddEven(small, keys)
+	oe, err := baseline.RunOddEven(small, keys, baseline.RunOpts{})
 	if err != nil {
 		panic(err)
 	}

@@ -187,3 +187,71 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 		t.Error("metrics missing queue capacity")
 	}
 }
+
+// TestHTTPAdmissionCeilings: the resource ceilings are an admission
+// check, so POST /v1/jobs rejects an oversized spec with a 400 and the
+// ceiling's message, while Canonicalize alone accepts it (see
+// TestCanonicalizeSkipsCeilings).
+func TestHTTPAdmissionCeilings(t *testing.T) {
+	s := New(Options{Runners: 1, WorkersPerRunner: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct{ name, body, want string }{
+		{"side", `{"alg":"simple","d":2,"n":1000}`,
+			"service: side n=1000 out of range [2,64]"},
+		{"too big", `{"alg":"simple","d":6,"n":32}`,
+			"service: n^d = 32^6 exceeds the 524288-processor ceiling"},
+		{"clique too big", `{"alg":"cliqueroute","n":513}`,
+			"service: clique size n=513 out of range [2,512]"},
+		{"clique k", `{"alg":"cliqueroute","n":64,"k":513}`,
+			"service: clique relation k=513 out of range [1,512]"},
+		{"inject horizon", `{"alg":"traffic","d":2,"n":8,"inject":"window:2000000"}`,
+			`service: inject "window:2000000" schedules arrivals out to step 2000000, over the 1048576-step horizon`},
+		{"packet ceiling", `{"alg":"traffic","d":2,"n":8,"load":"k:131072"}`,
+			`service: load "k:131072" injects up to 8388608 packets, over the 1048576 ceiling`},
+		{"greedyroute side", `{"alg":"greedyroute","d":2,"n":128}`,
+			"service: side n=128 out of range [2,64]"},
+		{"oddeven work", `{"alg":"oddeven","d":3,"n":64}`,
+			"service: n^d = 64^3 exceeds the 32768-processor ceiling of alg=oddeven"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding error body: %v", tc.name, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || body.Error != tc.want {
+			t.Errorf("%s: got %d %q, want 400 %q", tc.name, resp.StatusCode, body.Error, tc.want)
+		}
+	}
+}
+
+// TestHTTPBaselines: POST /v1/jobs runs the baselines through the same
+// dispatch table as the paper's algorithms, their spec fields included.
+func TestHTTPBaselines(t *testing.T) {
+	s := New(Options{Runners: 1, WorkersPerRunner: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct{ body, alg string }{
+		{`{"alg":"oddeven","d":2,"n":8}`, "oddeven"},
+		{`{"alg":"shear","d":2,"n":8}`, "shearsort"},
+		{`{"alg":"greedyroute","d":2,"n":8,"perm":"transpose","policy":"dimorder","classes":"zero"}`, "greedyroute"},
+		{`{"alg":"simple","d":3,"n":8,"realLocalSort":true,"altEstimator":true}`, "SimpleSort"},
+	} {
+		resp, st := postJob(t, ts, tc.body, true)
+		if resp.StatusCode != http.StatusOK || st.Status != StatusDone || st.Result == nil {
+			t.Fatalf("%s: %d %+v", tc.body, resp.StatusCode, st)
+		}
+		if r := st.Result; r.Algorithm != tc.alg || !r.Delivered || r.TotalSteps == 0 || len(r.Phases) == 0 {
+			t.Errorf("%s: implausible result %+v", tc.body, r)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"meshsort/internal/baseline"
 	"meshsort/internal/core"
 	"meshsort/internal/engine"
 	"meshsort/internal/grid"
@@ -14,7 +15,7 @@ import (
 
 // Result is the JSON encoding of one completed simulation. It is the
 // wire type of the HTTP API and of cmd/meshsort -json, built from the
-// algorithm packages' result types by the From* constructors below.
+// algorithm packages' result types by the from* constructors below.
 // Everything except the per-phase throughput figures is deterministic
 // in the canonical spec; the cache stores the first run's Result
 // verbatim, so repeated jobs return byte-identical bodies.
@@ -41,6 +42,12 @@ type Result struct {
 	MaxQueue    int `json:"maxQueue"`
 	Stranded    int `json:"stranded,omitempty"`
 	MergeRounds int `json:"mergeRounds,omitempty"`
+	// MaxPairDist is the largest distance between a packet and its copy
+	// after the center sort (copy and torussort; Lemmas 3.3/3.4).
+	MaxPairDist int `json:"maxPairDist,omitempty"`
+	// FallbackRounds counts the transposition rounds whole-mesh
+	// shearsort (alg=shear) fell back to; 0 for a pure shearsort.
+	FallbackRounds int `json:"fallbackRounds,omitempty"`
 
 	// Routing (alg=route) extras.
 	Nu          int `json:"nu,omitempty"`
@@ -135,12 +142,12 @@ func KeySum(keys []int64) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// FromSort encodes a sorting run (SimpleSort, CopySort, TorusSort,
+// fromSort encodes a sorting run (SimpleSort, CopySort, TorusSort,
 // FullSort). It also encodes partial runs (cancelled, timed out, or
 // degraded mid-program): the phase prefix and clock are real, Sorted is
 // false, and KeySum is omitted — a digest of a half-routed key placement
 // would be noise masquerading as a witness.
-func FromSort(res core.Result) Result {
+func fromSort(res core.Result) Result {
 	s := res.Config.Shape
 	keySum := ""
 	if res.Sorted {
@@ -160,13 +167,14 @@ func FromSort(res core.Result) Result {
 		MaxQueue:    res.MaxQueue,
 		Stranded:    res.Stranded,
 		MergeRounds: res.MergeRounds,
+		MaxPairDist: res.MaxPairDist,
 		KeySum:      keySum,
 		Phases:      tracePhases(res.Phases),
 	}
 }
 
-// FromRouteAlg encodes a two-phase routing run.
-func FromRouteAlg(res core.RouteAlgResult, shape grid.Shape) Result {
+// fromRouteAlg encodes a two-phase routing run.
+func fromRouteAlg(res core.RouteAlgResult, shape grid.Shape) Result {
 	return Result{
 		Algorithm:   res.Algorithm,
 		Shape:       shape.String(),
@@ -185,12 +193,12 @@ func FromRouteAlg(res core.RouteAlgResult, shape grid.Shape) Result {
 	}
 }
 
-// FromCliqueRoute encodes a direct greedy k-relation run on the
+// fromCliqueRoute encodes a direct greedy k-relation run on the
 // congested clique. Bound is k: every node has a direct link to every
 // other, so greedy direct routing delivers a k-relation in at most k
 // steps (each directed link carries at most k packets, one per step) —
 // the congested-clique analogue of the mesh theorems' D + o(n).
-func FromCliqueRoute(res engine.RouteResult, tot pipeline.Totals, c *topo.Clique, k int, delivered bool) Result {
+func fromCliqueRoute(res engine.RouteResult, tot pipeline.Totals, c *topo.Clique, k int, delivered bool) Result {
 	return Result{
 		Algorithm:  "CliqueGreedyRoute",
 		Shape:      c.String(),
@@ -206,11 +214,11 @@ func FromCliqueRoute(res engine.RouteResult, tot pipeline.Totals, c *topo.Clique
 	}
 }
 
-// FromTraffic encodes a timed traffic run (alg=traffic): direct greedy
+// fromTraffic encodes a timed traffic run (alg=traffic): direct greedy
 // routing of a scheduled demand, measured by its sojourn distribution.
 // There is no theorem bound to record — the latency percentiles are the
 // result — so Bound stays 0.
-func FromTraffic(res engine.RouteResult, tot pipeline.Totals, shape grid.Shape, delivered bool) Result {
+func fromTraffic(res engine.RouteResult, tot pipeline.Totals, shape grid.Shape, delivered bool) Result {
 	r := Result{
 		Algorithm:  "TrafficRoute",
 		Shape:      shape.String(),
@@ -230,8 +238,61 @@ func FromTraffic(res engine.RouteResult, tot pipeline.Totals, shape grid.Shape, 
 	return r
 }
 
-// FromSelect encodes a selection run.
-func FromSelect(res core.SelectResult, shape grid.Shape) Result {
+// fromOddEven encodes an odd-even transposition run (alg=oddeven).
+// Each transposition round is one communication step, counted as a
+// routing step; the baseline has no theorem bound, so Bound stays 0.
+func fromOddEven(res baseline.OddEvenResult, tot pipeline.Totals, shape grid.Shape) Result {
+	return Result{
+		Algorithm:  "oddeven",
+		Shape:      shape.String(),
+		N:          shape.N(),
+		Diameter:   shape.Diameter(),
+		Delivered:  res.Sorted,
+		Sorted:     res.Sorted,
+		TotalSteps: res.Rounds,
+		RouteSteps: res.Rounds,
+		Phases:     tracePhases(tot.Phases),
+	}
+}
+
+// fromShear encodes a whole-mesh shearsort run (alg=shear); its shear
+// iterations are reported as merge rounds.
+func fromShear(res baseline.ShearSortResult, shape grid.Shape) Result {
+	return Result{
+		Algorithm:      "shearsort",
+		Shape:          shape.String(),
+		N:              shape.N(),
+		Diameter:       shape.Diameter(),
+		Delivered:      res.Sorted,
+		Sorted:         res.Sorted,
+		TotalSteps:     res.Steps,
+		RouteSteps:     res.Steps,
+		MergeRounds:    res.Iterations,
+		FallbackRounds: res.Fallback,
+		Phases:         tracePhases(res.Phases),
+	}
+}
+
+// fromGreedyRoute encodes a one-phase greedy permutation routing run
+// (alg=greedyroute). Delivered means nothing was stranded; the
+// baseline has no theorem bound, so Bound stays 0.
+func fromGreedyRoute(res engine.RouteResult, tot pipeline.Totals, shape grid.Shape) Result {
+	return Result{
+		Algorithm:  "greedyroute",
+		Shape:      shape.String(),
+		N:          shape.N(),
+		Diameter:   shape.Diameter(),
+		Delivered:  len(res.Stranded) == 0,
+		TotalSteps: res.Steps,
+		RouteSteps: res.Steps,
+		MaxQueue:   res.MaxQueue,
+		Stranded:   len(res.Stranded),
+		Phases:     tracePhases(tot.Phases),
+	}
+}
+
+// fromSelect encodes a selection run.
+func fromSelect(res core.SelectResult, shape grid.Shape) Result {
 	return Result{
 		Algorithm:   res.Algorithm,
 		Shape:       shape.String(),

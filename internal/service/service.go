@@ -146,7 +146,7 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 
 // finish moves the job to a terminal state exactly once; the false
 // return tells racing finishers (worker vs Cancel vs deadline) they
-// lost.
+// lost. The winner closes done (see finishJob).
 func (j *Job) finish(status string, res *Result, err error) bool {
 	j.mu.Lock()
 	if terminalStatus(j.status) {
@@ -158,7 +158,6 @@ func (j *Job) finish(status string, res *Result, err error) bool {
 	j.err = err
 	j.finished = time.Now()
 	j.mu.Unlock()
-	close(j.done)
 	return true
 }
 
@@ -453,7 +452,7 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 // in-flight cap, ErrDraining after Close has begun. Wait for completion
 // via (*Job).Done; cancel via Cancel.
 func (s *Service) SubmitWith(spec JobSpec, opts SubmitOpts) (*Job, error) {
-	canon, err := spec.Canonicalize()
+	canon, err := spec.admit()
 	if err != nil {
 		s.rejected.Add(1)
 		return nil, &SpecError{Err: err}
@@ -656,13 +655,7 @@ func (s *Service) runJob(job *Job) {
 		return
 	}
 
-	prog, err := compile(job.Spec)
-	if err != nil {
-		s.finishJob(job, StatusFailed, nil, err)
-		return
-	}
-
-	res, runErr, panicked := s.runOnSlot(job, prog)
+	res, runErr, panicked := s.runOnSlot(job)
 	if panicked {
 		s.panicked.Add(1)
 		s.finishJob(job, StatusFailed, nil, runErr)
@@ -683,12 +676,12 @@ func (s *Service) runJob(job *Job) {
 	s.finishJob(job, StatusDone, &res, nil)
 }
 
-// runOnSlot leases a runner slot, applies chaos injection, and executes
-// the program. A panic anywhere in that scope — policy code, local
+// runOnSlot leases a runner slot, applies chaos injection, and runs the
+// job's spec on the slot's runner and engine pool. A panic anywhere in that scope — policy code, local
 // phases, injected chaos — is converted into an error with the captured
 // stack, and the poisoned slot is quarantined (rebuilt cold on its next
 // lease) instead of being released for reuse. The process never exits.
-func (s *Service) runOnSlot(job *Job, prog program) (res Result, err error, panicked bool) {
+func (s *Service) runOnSlot(job *Job) (res Result, err error, panicked bool) {
 	slot := s.pool.acquire(job.Spec.ShapeKey(), job.Spec.Topo())
 	quarantined := false
 	defer func() {
@@ -707,7 +700,7 @@ func (s *Service) runOnSlot(job *Job, prog program) (res Result, err error, pani
 		s.beforeRun(job, slot)
 	}
 	s.simulations.Add(1)
-	res, err = prog.run(job.ctx, slot.runner, slot.pool)
+	res, err = Run(job.ctx, job.Spec, Env{Runner: slot.runner, Pool: slot.pool})
 	if s.afterRun != nil {
 		s.afterRun(job, slot)
 	}
@@ -767,6 +760,8 @@ func (s *Service) finishJob(j *Job, status string, res *Result, err error) {
 	case StatusTimedOut:
 		s.timedOut.Add(1)
 	}
+	// Counted before Done fires, so a waiter reads consistent metrics.
+	close(j.done)
 	j.mu.Lock()
 	held := j.quotaHeld
 	j.quotaHeld = false

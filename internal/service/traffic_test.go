@@ -38,8 +38,6 @@ func TestTrafficSpecCanonicalize(t *testing.T) {
 		{Alg: AlgTraffic, D: 2, N: 8, Indexing: IndexingBlockedSnake},           // no blocked order in greedy routing
 		{Alg: AlgTraffic, D: 2, N: 8, Load: "k:4,typo=1"},                       // DSL typo
 		{Alg: AlgTraffic, D: 2, N: 8, Inject: "soon"},                           // unknown arrival process
-		{Alg: AlgTraffic, D: 2, N: 8, Inject: "window:2000000"},                 // past the injection horizon
-		{Alg: AlgTraffic, D: 2, N: 8, Load: "k:131072"},                         // past the packet ceiling (k*n > 2^20)
 		{Alg: AlgSimple, D: 2, N: 8, Load: "perm"},                              // load on a sorting alg
 		{Alg: AlgRoute, D: 2, N: 8, Inject: "batch"},                            // inject on the batch router
 		{Alg: AlgCliqueRoute, N: 8, Load: "perm"},                               // load on the clique
