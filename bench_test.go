@@ -25,9 +25,6 @@ import (
 	"meshsort/internal/perm"
 	"meshsort/internal/pipeline"
 	"meshsort/internal/route"
-	"meshsort/internal/stats"
-	"meshsort/internal/topo"
-	"meshsort/internal/traffic"
 	"meshsort/internal/xmath"
 )
 
@@ -345,8 +342,9 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkLadderGreedyRoute is the million-processor benchmark ladder
-// (BENCH_6.json): dimension-order greedy routing of a seeded random
+// BenchmarkLadderGreedyRoute is the million-processor benchmark ladder,
+// an ungated developer tool (its upper rungs are the only measurements
+// above meshbench's N = 32,768): dimension-order greedy routing of a seeded random
 // permutation on the d=3 mesh at n = 16, 32, 64, and 128 — N from 4096
 // to ~2.1M processors. Each rung routes on one warm network per
 // iteration (Reset + inject + route, the BenchmarkEngineSteadyState
@@ -404,8 +402,8 @@ func BenchmarkLadderGreedyRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkLadderSimpleSort is the full-sort benchmark ladder
-// (BENCH_9.json): the complete SimpleSort pipeline — block-local sorts,
+// BenchmarkLadderSimpleSort is the full-sort benchmark ladder, an
+// ungated developer tool like BenchmarkLadderGreedyRoute: the complete SimpleSort pipeline — block-local sorts,
 // two greedy routing phases, and the odd-even merge cleanup — on the
 // d=3 mesh at n = 16, 32, and 64 (N up to 262,144), with block side
 // n/4. Each rung re-runs one warm runner per iteration (Reset + inject
@@ -455,163 +453,6 @@ func BenchmarkLadderSimpleSort(b *testing.B) {
 				b.ReportMetric(float64(last.RouteSteps)/float64(s.Diameter()), "route-steps/D")
 			}
 		})
-	}
-}
-
-// BenchmarkCliqueGreedyRoute — the non-mesh data plane (E21): greedy
-// direct routing of a seeded random 4-relation on a 512-clique (~262k
-// directed links, 2048 packets), one warm network per iteration (the
-// BenchmarkEngineSteadyState shape: Reset + inject + route). The
-// engine's generic Topology path carries this workload, and it must
-// honor the same steady-state contract as the mesh fast path:
-// `-benchmem` must report 0 allocs/op.
-func BenchmarkCliqueGreedyRoute(b *testing.B) {
-	c := topo.NewClique(512)
-	pool := engine.NewPool(0)
-	defer pool.Close()
-	net := engine.NewNet(c)
-	net.Pool = pool
-	const k = 4
-	prob := perm.RandomRanksK(c.N(), k, xmath.NewRNG(3))
-	pkts := make([]*engine.Packet, prob.Size())
-	pol := route.NewCliqueDirect(c)
-	run := func() int {
-		net.ResetTopo(c)
-		for i := range pkts {
-			p := net.NewPacket(int64(i), prob.Src[i])
-			p.Dst = prob.Dst[i]
-			pkts[i] = p
-		}
-		net.Inject(pkts)
-		res, err := net.Route(pol, engine.RouteOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.Steps
-	}
-	run() // warm-up: grow the arena, queues, and step scratch
-	var steps int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		steps += run()
-	}
-	b.StopTimer()
-	if steps > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
-		b.ReportMetric(float64(steps)/float64(b.N), "sim-steps")
-	}
-}
-
-// BenchmarkLadderKKSort is the k-k sorting ladder (BENCH_10.json):
-// the full SimpleSort pipeline under the Corollary 3.1.1 load — every
-// processor holding k = 2 keys — on the d=3 mesh at n = 16 and 32
-// (up to 65,536 packets), block side n/4. The shape matches
-// BenchmarkLadderSimpleSort (one warm runner re-run per iteration), so
-// the k > 1 arena sizing, the multi-packet local sorts, and the
-// k-scaled routing phases must all honor the same steady-state
-// contract: after warm-up `-benchmem` reports 0 allocs/op. The n=32
-// rung is skipped under -short.
-//
-//	go test -run xxx -bench BenchmarkLadderKKSort -benchmem -benchtime 1x
-func BenchmarkLadderKKSort(b *testing.B) {
-	const k = 2
-	for _, side := range []int{16, 32} {
-		side := side
-		b.Run(fmt.Sprintf("n=%d", side), func(b *testing.B) {
-			if testing.Short() && side > 16 {
-				b.Skipf("n=%d rung skipped in -short mode", side)
-			}
-			s := grid.New(3, side)
-			pool := engine.NewPool(0)
-			defer pool.Close()
-			runner := pipeline.New(pipeline.Config{Shape: s, Pool: pool})
-			cfg := core.Config{Shape: s, BlockSide: side / 4, K: k, Seed: 1, Pool: pool, Runner: runner}
-			keys := core.RandomKeys(s, k, 7)
-			var last core.Result
-			run := func() {
-				res, err := core.SimpleSort(cfg, keys)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Sorted {
-					b.Fatal("k-k SimpleSort did not sort")
-				}
-				last = res
-			}
-			run() // warm-up: grow the k-sized runner scratch, arena, and queues
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-			b.StopTimer()
-			if last.TotalSteps > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(last.TotalSteps), "ns/step")
-				b.ReportMetric(float64(last.TotalSteps), "sim-steps")
-				b.ReportMetric(float64(last.RouteSteps)/float64(s.Diameter()), "route-steps/D")
-			}
-		})
-	}
-}
-
-// BenchmarkTimedKKRoute is the traffic engine's steady-state benchmark
-// (BENCH_10.json): a 2-relation trickled into a warm d=3 mesh at two
-// packets per step, routed greedily with mid-run activation and
-// per-packet sojourn accounting both engaged. The demand pairs and
-// arrival stamps are generated once; each iteration rebuilds the
-// arrivals plan in place on the reset network (the
-// TestWarmTimedRouteDoesNotAllocate pattern), so after warm-up
-// `-benchmem` must report 0 allocs/op — timed injection and latency
-// accounting ride the batch path's zero-allocation contract.
-func BenchmarkTimedKKRoute(b *testing.B) {
-	s := grid.New(3, 16)
-	pool := engine.NewPool(0)
-	defer pool.Close()
-	net := engine.New(s)
-	net.Pool = pool
-	load := traffic.Load{Demand: traffic.KRelation, K: 2, Seed: 3}
-	sched := traffic.Schedule{Arrival: traffic.Trickle, Rate: 2}
-	pairs, err := load.Pairs(s.N())
-	if err != nil {
-		b.Fatal(err)
-	}
-	clocks, err := sched.Stamps(len(pairs), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	arr := &engine.Arrivals{
-		Clocks: make([]int32, 0, len(pairs)),
-		IDs:    make([]int32, 0, len(pairs)),
-	}
-	var hist stats.Hist
-	var pol engine.Policy = route.NewGreedy(s)
-	run := func() int {
-		net.Reset(s)
-		arr.Clocks = arr.Clocks[:0]
-		arr.IDs = arr.IDs[:0]
-		for i, pr := range pairs {
-			p := net.NewPacket(int64(i), pr.Src)
-			p.Dst = pr.Dst
-			p.Class = i % s.Dim
-			arr.Add(clocks[i], p)
-		}
-		arr.Rewind()
-		hist.Reset()
-		res, err := net.Route(pol, engine.RouteOpts{Arrivals: arr, Sojourn: &hist})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.Steps
-	}
-	run() // warm-up: grow the arena, queues, step scratch, and histograms
-	var steps int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		steps += run()
-	}
-	b.StopTimer()
-	if steps > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
-		b.ReportMetric(float64(steps)/float64(b.N), "sim-steps")
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // RunOpts configures a standalone baseline run (ShearSort, RunOddEven).
-// Callers that want a fixed engine worker count pass a Pool of that
-// size; without one every phase uses GOMAXPROCS workers.
+// Callers that want more than one engine worker pass a Pool of that
+// size; without one every phase runs on the caller's goroutine.
 type RunOpts struct {
 	// ShardShift overrides the engine's shard sizing (log2 processors
 	// per shard; 0 means automatic, see engine.Net.ShardShift).

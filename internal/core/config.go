@@ -132,8 +132,7 @@ type Config struct {
 	// unchanged (the cleanup still fixes any estimate).
 	AltEstimator bool
 
-	Seed    uint64
-	Workers int // engine shard workers; 0 means GOMAXPROCS
+	Seed uint64
 	// ShardShift overrides the engine's shard sizing (log2 processors per
 	// shard; 0 means automatic, see engine.Net.ShardShift). Exposed for
 	// benchmarking shard-size sensitivity (cmd/meshsort -shard-shift).
@@ -141,8 +140,8 @@ type Config struct {
 
 	// Pool optionally supplies a persistent engine worker pool shared by
 	// every routing phase of the run (and by other runs using the same
-	// pool). The caller owns its lifecycle. Nil means the engine manages
-	// a transient pool per phase, sized by Workers.
+	// pool). The caller owns its lifecycle. Nil means one worker, the
+	// caller's goroutine.
 	Pool *engine.Pool
 
 	// Runner optionally supplies a warm pipeline runner to execute on
@@ -178,7 +177,6 @@ func (c Config) runner() *pipeline.Runner {
 func (c Config) runnerWith(policy engine.Policy) *pipeline.Runner {
 	pcfg := pipeline.Config{
 		Shape:      c.Shape,
-		Workers:    c.Workers,
 		ShardShift: c.ShardShift,
 		Pool:       c.Pool,
 		Policy:     policy,

@@ -97,32 +97,40 @@ func TestLocalPhasesDeterministicAcrossWorkers(t *testing.T) {
 // routing phases, the cleanup loop, the sortedness certificate, and
 // final-key extraction — performs zero heap allocations. Covers both
 // RunBlocks dispatch modes: a 1-worker pool (serial, the fused engine
-// path) and a 2-worker pool (parallel work-stealing dispatch).
+// path) and a 2-worker pool (parallel work-stealing dispatch); k = 1 and
+// the k-k load of Corollary 3.1.1 (k = 2). Runs alternate between two
+// key sets, as a benchmark that rotates its inputs does.
 func TestWarmSimpleSortDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
 	shape := grid.New(3, 16)
-	keys := RandomKeys(shape, 1, 7)
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			pool := engine.NewPool(workers)
 			defer pool.Close()
-			runner := pipeline.New(pipeline.Config{Shape: shape, Pool: pool})
-			cfg := Config{Shape: shape, BlockSide: 4, Seed: 1, Pool: pool, Runner: runner}
-			run := func() {
-				res, err := SimpleSort(cfg, keys)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Sorted {
-					t.Fatal("SimpleSort did not sort")
-				}
-			}
-			run() // warm-up: grow the runner scratch, arena, and queues
-			run()
-			if avg := testing.AllocsPerRun(10, run); avg != 0 {
-				t.Fatalf("warm SimpleSort allocated %.1f times per run, want 0", avg)
+			for _, k := range []int{1, 2} {
+				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+					keys := [2][]int64{RandomKeys(shape, k, 7), RandomKeys(shape, k, 8)}
+					runner := pipeline.New(pipeline.Config{Shape: shape, Pool: pool})
+					cfg := Config{Shape: shape, BlockSide: 4, K: k, Seed: 1, Pool: pool, Runner: runner}
+					runs := 0
+					run := func() {
+						res, err := SimpleSort(cfg, keys[runs%2])
+						runs++
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !res.Sorted {
+							t.Fatal("SimpleSort did not sort")
+						}
+					}
+					run() // warm-up: grow the runner scratch, arena, and queues
+					run()
+					if avg := testing.AllocsPerRun(10, run); avg != 0 {
+						t.Fatalf("warm SimpleSort allocated %.1f times per run, want 0", avg)
+					}
+				})
 			}
 		})
 	}

@@ -28,13 +28,12 @@ type RouteConfig struct {
 	// Nu is the detour slack: intermediates are drawn from blocks within
 	// D/2 + Nu of both endpoint blocks. 0 means the paper's choice:
 	// n/2 on the mesh, max(1, n/16) on the torus.
-	Nu      int
-	Seed    uint64
-	Workers int
+	Nu   int
+	Seed uint64
 	// ShardShift overrides the engine's shard sizing; see core.Config.
 	ShardShift int
 	// Pool optionally supplies a persistent engine worker pool shared by
-	// both routing phases; nil means a transient pool per phase.
+	// both routing phases; nil means one worker, the caller's goroutine.
 	Pool *engine.Pool
 	// Runner optionally supplies a warm pipeline runner to execute on
 	// instead of building a fresh one; see core.Config.Runner.
@@ -53,7 +52,6 @@ type RouteConfig struct {
 func (c RouteConfig) runner() *pipeline.Runner {
 	pcfg := pipeline.Config{
 		Shape:      c.Shape,
-		Workers:    c.Workers,
 		ShardShift: c.ShardShift,
 		Pool:       c.Pool,
 		Policy:     c.Policy(c.Shape),

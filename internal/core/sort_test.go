@@ -321,7 +321,9 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Error("SimpleSort is not deterministic")
 	}
 	// And independent of worker count.
-	cfg.Workers = 1
+	pool := engine.NewPool(2)
+	defer pool.Close()
+	cfg.Pool = pool
 	r3, err := SimpleSort(cfg, keys)
 	if err != nil {
 		t.Fatal(err)

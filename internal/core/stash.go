@@ -12,7 +12,7 @@ import (
 // Two configurations with equal keys produce identical indexing schemes,
 // center regions, and phase programs, so a warm runner carrying a stash
 // with a matching key re-runs without rebuilding any of them. Fields the
-// program never reads (Seed, Workers, Pool, Observer, fault options) are
+// program never reads (Seed, Pool, Observer, fault options) are
 // deliberately absent: they live in the pipeline configuration, which
 // Reset re-arms on every run.
 type centerKey struct {

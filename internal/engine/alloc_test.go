@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"meshsort/internal/grid"
@@ -94,14 +95,23 @@ func TestWarmRouteDoesNotAllocateLargeRung(t *testing.T) {
 // mid-run) with sojourn latency accounting enabled. The plan, the
 // histogram accumulator, and the per-worker histograms are all reused
 // across runs, so a warm timed phase must allocate exactly as much as a
-// warm batch phase: nothing.
+// warm batch phase: nothing. Runs at 1 worker (the fused step) and at 2
+// (the two-phase step).
 func TestWarmTimedRouteDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			warmTimedRouteAllocs(t, workers)
+		})
+	}
+}
+
+func warmTimedRouteAllocs(t *testing.T, workers int) {
 	s := grid.New(3, 8)
 	net := New(s)
-	pool := NewPool(2)
+	pool := NewPool(workers)
 	defer pool.Close()
 	net.Pool = pool
 
@@ -141,13 +151,20 @@ func TestWarmTimedRouteDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestWarmRouteDoesNotAllocateSingleWorker covers the inline fast path
-// (workers == 1, no pool barrier) with the same guard.
+// TestWarmRouteDoesNotAllocateSingleWorker covers the single-worker
+// paths (no pool barrier) with the same guard: the 64-processor torus
+// has sub-word shards, so it runs the two-phase step inline; the 512-
+// processor mesh runs the fused step.
 func TestWarmRouteDoesNotAllocateSingleWorker(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
-	s := grid.NewTorus(2, 8)
+	for _, s := range []grid.Shape{grid.NewTorus(2, 8), grid.New(3, 8)} {
+		t.Run(s.String(), func(t *testing.T) { warmSingleWorkerAllocs(t, s) })
+	}
+}
+
+func warmSingleWorkerAllocs(t *testing.T, s grid.Shape) {
 	net := New(s)
 	pool := NewPool(1)
 	defer pool.Close()

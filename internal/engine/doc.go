@@ -89,10 +89,10 @@
 // moving packet clustered in one region of a large mesh — still splits
 // across the pool instead of serializing on one worker
 // (Net.ShardShift overrides the sizing). A pool can (and should) be
-// shared across all phases of a multi-phase algorithm via Net.Pool or
-// RouteOpts.Pool; when neither is set, Route manages a transient pool
-// per phase. With one worker — or one live shard — the step loop runs
-// entirely inline with no goroutines or atomic barrier crossings.
+// shared across all phases of a multi-phase algorithm via Net.Pool;
+// without one, Route runs with one worker on the caller's goroutine.
+// With one worker — or one live shard — the step loop runs entirely
+// inline with no goroutines or atomic barrier crossings.
 //
 // # Exact vs. sampled statistics
 //
@@ -166,4 +166,14 @@
 // After a degraded abort the network is quiescent and conserved (no
 // packet mid-link), so callers can inspect it, repair the plan, and
 // route again.
+//
+// # Allocation
+//
+// A warm route (Reset and re-route on a network whose arena, queues and
+// step scratch an earlier run already grew) allocates nothing on its
+// transit path, at any worker count, on the fused and the two-phase
+// step, with or without timed arrivals; the DoesNotAllocate tests guard
+// this. It allocates only on the stranding and degraded paths: each
+// stranded or stuck packet gets a PacketDiag with its own Wants and
+// Blocked slices, and RouteResult.Stranded or Stuck grows to hold it.
 package engine

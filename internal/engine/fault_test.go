@@ -287,7 +287,7 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 		f := RandomFaultPlan(s, 0.05, 7)
 		run := func(workers int) (RouteResult, string) {
 			net := New(s)
-			net.Workers = workers
+			net.Pool = testPool(t, workers)
 			rng := xmath.NewRNG(99)
 			dsts := rng.Perm(s.N())
 			pkts := make([]*Packet, s.N())

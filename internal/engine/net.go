@@ -1,11 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -256,13 +256,10 @@ type Net struct {
 	// aux* constants for why it stays out of the queue entries.
 	aux []int32
 
-	// Workers sizes the transient worker pool Route creates when neither
-	// Pool (below) nor RouteOpts.Pool provides one; 0 means GOMAXPROCS.
-	Workers int
-
 	// Pool, if non-nil, supplies the persistent workers for every phase
-	// routed through this network (RouteOpts.Pool takes precedence). The
-	// caller owns the pool's lifecycle; Route never closes it.
+	// routed through this network. The caller owns the pool's lifecycle;
+	// Route never closes it. Nil means one worker: the step loop runs on
+	// the caller's goroutine.
 	Pool *Pool
 
 	// ShardShift overrides the step loop's shard sizing: shards cover
@@ -715,11 +712,6 @@ type RouteOpts struct {
 	// quiescent, so it may inspect state (e.g. Snapshot) but must not
 	// modify it.
 	OnStep func(step int)
-	// Pool, if non-nil, supplies the workers for this phase, overriding
-	// Net.Pool. When both are nil Route creates a transient pool sized by
-	// Net.Workers and closes it when the phase ends.
-	Pool *Pool
-
 	// Faults, if non-nil, injects the plan's failures into the phase: the
 	// send phase consults the plan at grant time, and a packet whose
 	// granted link is down simply does not move that step. The plan is
@@ -1027,14 +1019,9 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 		}
 	}
 
-	pool := opts.Pool
+	pool := n.Pool
 	if pool == nil {
-		pool = n.Pool
-	}
-	if pool == nil {
-		transient := NewPool(n.Workers)
-		defer transient.Close()
-		pool = transient
+		pool = callerPool
 	}
 	st.attach(pool)
 	res.Workers = pool.Workers()
@@ -1215,7 +1202,7 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 		}
 		st.strandAll = strands[:0]
 		if len(strands) > 0 {
-			sort.Sort(diagsByID(strands))
+			slices.SortFunc(strands, diagByID)
 			for _, d := range strands {
 				totalTogo -= int64(d.Dist)
 			}
@@ -1450,12 +1437,9 @@ func newStepState(n *Net) *stepState {
 	// packets clustered in one region) still splits across the pool
 	// instead of serializing on one worker. Net.ShardShift overrides the
 	// result (clamped to [4, 16]).
-	workers := n.Workers
+	workers := 1
 	if pool := n.Pool; pool != nil {
 		workers = pool.Workers()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	st.shardShift = 7
 	for st.shardShift > 4 && len(n.procs)>>st.shardShift < 8*workers {
@@ -2533,31 +2517,23 @@ func (st *stepState) stuckSnapshot() []PacketDiag {
 			out = append(out, st.diagnose(r, e))
 		}
 	}
-	sort.Sort(diagsByRankID(out))
+	slices.SortFunc(out, diagByRankID)
 	return out
 }
 
-// diagsByID orders PacketDiags by packet id (the deterministic merge
-// order of per-step stranding lists). A concrete sort.Interface so the
-// step loop never allocates a comparison closure.
-type diagsByID []PacketDiag
+// diagByID orders PacketDiags by packet id (the deterministic merge
+// order of per-step stranding lists). Ids are unique, so the order is
+// total.
+func diagByID(a, b PacketDiag) int { return cmp.Compare(a.ID, b.ID) }
 
-func (d diagsByID) Len() int           { return len(d) }
-func (d diagsByID) Less(i, j int) bool { return d[i].ID < d[j].ID }
-func (d diagsByID) Swap(i, j int)      { d[i], d[j] = d[j], d[i] }
-
-// diagsByRankID orders PacketDiags by (rank, id) — the stuck-snapshot
+// diagByRankID orders PacketDiags by (rank, id) — the stuck-snapshot
 // order.
-type diagsByRankID []PacketDiag
-
-func (d diagsByRankID) Len() int { return len(d) }
-func (d diagsByRankID) Less(i, j int) bool {
-	if d[i].Rank != d[j].Rank {
-		return d[i].Rank < d[j].Rank
+func diagByRankID(a, b PacketDiag) int {
+	if c := cmp.Compare(a.Rank, b.Rank); c != 0 {
+		return c
 	}
-	return d[i].ID < d[j].ID
+	return diagByID(a, b)
 }
-func (d diagsByRankID) Swap(i, j int) { d[i], d[j] = d[j], d[i] }
 
 // checkInvariants is the paranoid per-step checker (RouteOpts.Paranoid):
 // no packet left on a link across the step barrier (which also enforces

@@ -38,6 +38,14 @@ func (g greedyTestPolicy) NextLink(rank, dst, class int) int {
 	return -1
 }
 
+// testPool returns a pool of the given size that is closed when the test
+// ends: the engine's worker count is the size of the pool it routes on.
+func testPool(t testing.TB, workers int) *Pool {
+	p := NewPool(workers)
+	t.Cleanup(p.Close)
+	return p
+}
+
 func TestLinkEncoding(t *testing.T) {
 	for dim := 0; dim < 4; dim++ {
 		for _, dir := range []int{-1, 1} {
@@ -115,7 +123,7 @@ func TestRouteIsDeterministic(t *testing.T) {
 	run := func(workers int) ([]int, int) {
 		s := grid.New(3, 6)
 		net := New(s)
-		net.Workers = workers
+		net.Pool = testPool(t, workers)
 		rng := xmath.NewRNG(99)
 		dsts := rng.Perm(s.N())
 		pkts := make([]*Packet, s.N())
@@ -369,7 +377,7 @@ func TestRouteDeterministicAcrossWorkers(t *testing.T) {
 	for _, s := range shapes {
 		run := func(workers int) (RouteResult, string) {
 			net := New(s)
-			net.Workers = workers
+			net.Pool = testPool(t, workers)
 			rng := xmath.NewRNG(99)
 			dsts := rng.Perm(s.N())
 			pkts := make([]*Packet, s.N())
@@ -425,7 +433,7 @@ func TestRouteDeterministicAcrossShardShifts(t *testing.T) {
 	cfgs := []cfg{{0, 1}, {4, 4}, {5, 2}, {6, 4}, {7, 2}, {9, 4}}
 	run := func(c cfg) (RouteResult, string) {
 		net := New(s)
-		net.Workers = c.workers
+		net.Pool = testPool(t, c.workers)
 		net.ShardShift = c.shift
 		rng := xmath.NewRNG(123)
 		dsts := rng.Perm(s.N())

@@ -26,10 +26,9 @@ import (
 // phases, as long as Run is never called concurrently (routing phases are
 // sequential by construction, so sharing one pool across the phases of a
 // multi-phase algorithm — or across algorithms — is the intended use).
-// Create one with NewPool, attach it via Net.Pool or RouteOpts.Pool, and
-// release its goroutines with Close when done. A nil *Pool is valid
-// everywhere a pool is accepted and means "let Route manage a transient
-// pool for the phase".
+// Create one with NewPool, attach it via Net.Pool, and release its
+// goroutines with Close when done. A nil *Pool is valid everywhere a pool
+// is accepted and means one worker: the caller's goroutine.
 //
 // The calling goroutine participates as worker 0, so a 1-worker pool
 // performs no atomic operations and spawns no goroutines at all.
@@ -90,6 +89,11 @@ func NewPool(workers int) *Pool {
 	}
 	return p
 }
+
+// callerPool is the 1-worker pool Route uses when Net.Pool is nil. Its
+// Run calls fn(0) directly, so any number of goroutines may share it,
+// and it is never closed.
+var callerPool = NewPool(1)
 
 // Workers returns the pool's worker count (including the caller slot).
 func (p *Pool) Workers() int { return p.workers }

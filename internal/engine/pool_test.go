@@ -70,7 +70,8 @@ func TestPoolCloseIdempotent(t *testing.T) {
 }
 
 // TestSharedPoolAcrossPhasesAndNets: one pool drives several phases on
-// several networks and produces the same simulation as transient pools.
+// several networks and produces the same simulation as no pool (one
+// worker on the caller's goroutine).
 func TestSharedPoolAcrossPhasesAndNets(t *testing.T) {
 	run := func(pool *Pool) [2]RouteResult {
 		var out [2]RouteResult
@@ -106,9 +107,9 @@ func TestSharedPoolAcrossPhasesAndNets(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	shared := run(pool)
-	transient := run(nil)
-	if !reflect.DeepEqual(shared, transient) {
-		t.Errorf("shared pool changed the simulation:\nshared    %+v\ntransient %+v", shared, transient)
+	serial := run(nil)
+	if !reflect.DeepEqual(shared, serial) {
+		t.Errorf("shared pool changed the simulation:\nshared %+v\nserial %+v", shared, serial)
 	}
 }
 

@@ -191,7 +191,7 @@ func TestShardSizing(t *testing.T) {
 	}
 	for _, c := range cases {
 		n := New(c.shape)
-		n.Workers = c.workers
+		n.Pool = testPool(t, c.workers)
 		n.ShardShift = c.override
 		st := newStepState(n)
 		if st.shardShift != c.wantShift {

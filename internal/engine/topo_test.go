@@ -93,7 +93,7 @@ func TestCliqueDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers, shardShift int) ([]int, int) {
 		c := topo.NewClique(96)
 		net := NewNet(c)
-		net.Workers = workers
+		net.Pool = testPool(t, workers)
 		net.ShardShift = shardShift
 		rng := xmath.NewRNG(55)
 		pkts := make([]*Packet, 0, 3*c.N())

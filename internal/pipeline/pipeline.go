@@ -135,16 +135,15 @@ type Config struct {
 	// algorithm, anything using Runner.InjectKeys's shape arithmetic
 	// indirectly) require a mesh topology; generic routing phases run on
 	// any topology.
-	Topo    topo.Topology
-	Workers int // engine shard workers; 0 means GOMAXPROCS
+	Topo topo.Topology
 	// ShardShift overrides the engine's shard sizing (log2 processors per
 	// shard; 0 means automatic). See engine.Net.ShardShift for the
 	// clamping rules. Exposed for benchmarking shard-size sensitivity.
 	ShardShift int
 	// Pool optionally supplies a persistent engine worker pool shared by
 	// every routing phase (and by other runners using the same pool).
-	// The caller owns its lifecycle; nil means a transient pool per
-	// phase, sized by Workers.
+	// The caller owns its lifecycle; nil means one worker, the caller's
+	// goroutine.
 	Pool *engine.Pool
 	// Policy routes every Route phase; nil means no Route phases may run.
 	Policy engine.Policy
@@ -194,7 +193,6 @@ func New(cfg Config) *Runner {
 	} else {
 		net = engine.New(cfg.Shape)
 	}
-	net.Workers = cfg.Workers
 	net.Pool = cfg.Pool
 	net.ShardShift = cfg.ShardShift
 	return &Runner{cfg: cfg, net: net}
@@ -214,8 +212,7 @@ func (r *Runner) Sorter() *radix.Sorter { return r.WorkerSorter(0) }
 
 // BlockWorkers returns the number of worker slots RunBlocks fans block
 // work across: the pool's worker count, or 1 when the runner has no
-// persistent pool (transient per-phase pools exist only inside the
-// engine's step loop, so local phases run serially without one).
+// pool (the engine then also steps on the caller's goroutine alone).
 func (r *Runner) BlockWorkers() int {
 	if r.cfg.Pool != nil {
 		return r.cfg.Pool.Workers()
@@ -318,7 +315,6 @@ func (r *Runner) Reset(cfg Config) {
 	} else {
 		r.net.Reset(cfg.Shape)
 	}
-	r.net.Workers = cfg.Workers
 	r.net.Pool = cfg.Pool
 	r.net.ShardShift = cfg.ShardShift
 	// Keep the phase-stat slab: the stats of a warm re-run overwrite the

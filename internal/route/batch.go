@@ -21,12 +21,11 @@ type BatchOpts struct {
 	BlockSide int    // block side for ClassLocalRank (must divide n); 0 disables blocking (per-processor classes)
 	Seed      uint64 // seed for ClassRandom
 	MaxSteps  int    // engine safety limit; 0 for default
-	Workers   int    // engine shard workers; 0 for GOMAXPROCS
 	// ShardShift overrides the engine's shard sizing (log2 processors
 	// per shard; 0 means automatic, see engine.Net.ShardShift).
 	ShardShift int
 	// Pool optionally supplies a persistent engine worker pool shared
-	// across problems; nil means a transient pool per phase.
+	// across problems; nil means one worker, the caller's goroutine.
 	Pool *engine.Pool
 
 	// Faults, if non-nil, injects the plan into the phase and switches the
@@ -83,7 +82,6 @@ func RunTopoProblem(t topo.Topology, prob perm.Problem, opts BatchOpts) (engine.
 	}
 	cfg := pipeline.Config{
 		Topo:       t,
-		Workers:    opts.Workers,
 		ShardShift: opts.ShardShift,
 		Pool:       opts.Pool,
 		Policy:     pol,

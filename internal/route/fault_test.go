@@ -151,8 +151,10 @@ func TestRunProblemFaultDeterminismAcrossWorkers(t *testing.T) {
 		f := engine.RandomFaultPlan(s, 0.03, 11)
 		prob := perm.Random(s, xmath.NewRNG(13))
 		run := func(workers int) (engine.RouteResult, string) {
+			pool := engine.NewPool(workers)
+			defer pool.Close()
 			res, net, err := RunProblem(s, prob, BatchOpts{
-				Mode: ClassLocalRank, BlockSide: 2, Faults: f, Workers: workers,
+				Mode: ClassLocalRank, BlockSide: 2, Faults: f, Pool: pool,
 			})
 			if err != nil {
 				t.Fatal(err)

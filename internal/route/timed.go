@@ -34,7 +34,6 @@ func RunTimedLoad(t topo.Topology, load traffic.Load, sched traffic.Schedule, op
 	var soj stats.Hist
 	cfg := pipeline.Config{
 		Topo:       t,
-		Workers:    opts.Workers,
 		ShardShift: opts.ShardShift,
 		Pool:       opts.Pool,
 		Policy:     pol,

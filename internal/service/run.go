@@ -24,7 +24,7 @@ type Env struct {
 	// service leases one per job, cmd/meshsort builds one per process.
 	Runner *pipeline.Runner
 	// Pool is the persistent engine worker pool every routing phase
-	// shares; nil means a transient pool per phase (GOMAXPROCS workers).
+	// shares; nil means one worker, the caller's goroutine.
 	Pool *engine.Pool
 	// Observer, if set, receives every phase's PhaseStat as it completes.
 	Observer pipeline.Observer
