@@ -277,6 +277,9 @@ func report(w io.Writer, spec service.JobSpec, res service.Result, runner *pipel
 	case service.AlgSelect:
 		fmt.Fprintf(w, "selection: median=%d correct=%v, %d routing steps (%.2f D), %d candidates\n",
 			res.Value, res.Delivered, res.RouteSteps, float64(res.RouteSteps)/D, res.Candidates)
+		if res.Stranded > 0 {
+			fmt.Fprintf(w, "  stranded: %d packets parked by the patience budget (degraded run)\n", res.Stranded)
+		}
 		printPhases(w, res.Phases)
 	}
 }

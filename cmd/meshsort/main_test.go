@@ -33,6 +33,7 @@ var goldenRuns = []struct{ name, args string }{
 	{"shear_d2_n8", "-alg shear -d 2 -n 8"},
 	{"route_d3_n8_transpose", "-alg route -d 3 -n 8 -perm transpose"},
 	{"select_d3_n8", "-alg select -d 3 -n 8"},
+	{"select_d3_n8_faults", "-alg select -d 3 -n 8 -faults 0.05 -patience 3"},
 	{"greedyroute_d3_n16_faults", "-alg greedyroute -d 3 -n 16 -faults 0.05 -fault-seed 7"},
 	{"greedyroute_d2_n8_heat", "-alg greedyroute -d 2 -n 8 -heat -policy dimorder -classes zero"},
 	{"cliqueroute_n64_k3_faults", "-alg cliqueroute -n 64 -k 3 -faults 0.01"},

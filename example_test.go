@@ -46,7 +46,7 @@ func ExampleSelect() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("correct=%v\n", res.Correct)
+	fmt.Printf("correct=%v\n", res.Delivered)
 	// Output: correct=true
 }
 

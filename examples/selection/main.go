@@ -24,7 +24,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("selection on %v (D = %d)\n", cfg.Shape, D)
-	fmt.Printf("  median key: %d (correct: %v)\n", res.Value, res.Correct)
+	fmt.Printf("  median key: %d (correct: %v)\n", res.Value, res.Delivered)
 	fmt.Printf("  routing steps: %d = %.3f x D  (Section 4.3 upper bound: ~1.0 x D)\n",
 		res.RouteSteps, float64(res.RouteSteps)/float64(D))
 	fmt.Printf("  candidates inside the estimate window: %d of %d\n", res.Candidates, N)
@@ -39,7 +39,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nrank %5d -> key %d (correct: %v, %d routing steps)", rank, r.Value, r.Correct, r.RouteSteps)
+		fmt.Printf("\nrank %5d -> key %d (correct: %v, %d routing steps)", rank, r.Value, r.Delivered, r.RouteSteps)
 	}
 
 	fmt.Println("\n\nTheorem 4.5 lower bound (9/16 - eps) x D, evaluated at eps = 0.05:")

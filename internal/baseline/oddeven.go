@@ -16,14 +16,6 @@ import (
 	"meshsort/internal/pipeline"
 )
 
-// OddEvenResult reports an odd-even transposition sort run.
-type OddEvenResult struct {
-	Steps    int  // one step per transposition round
-	Rounds   int  // rounds executed (== Steps)
-	Sorted   bool // certification of the outcome
-	Diameter int
-}
-
 // OddEvenSnakeSort sorts one key per processor by odd-even transposition
 // along the snake-like indexing: in even rounds the processor pairs with
 // snake indices (2i, 2i+1) compare-exchange their keys, in odd rounds the
@@ -34,18 +26,17 @@ type OddEvenResult struct {
 // double round performs no exchange.
 //
 // The network is modified in place: afterwards the held packets are in
-// snake order. The function charges the rounds to the network's clock.
-func OddEvenSnakeSort(net *engine.Net, sc *index.Scheme) (OddEvenResult, error) {
-	s := net.Shape
-	N := s.N()
-	res := OddEvenResult{Diameter: s.Diameter()}
+// snake order. The function charges one step per round to the network's
+// clock and reports whether the result certifies as sorted.
+func OddEvenSnakeSort(net *engine.Net, sc *index.Scheme) (sorted bool, err error) {
+	N := net.Shape.N()
 	// Snapshot one packet per processor, addressed by snake index.
 	ps := make([]*engine.Packet, N)
 	for idx := 0; idx < N; idx++ {
 		rank := sc.RankAt(idx)
 		held := net.Held(rank)
 		if len(held) != 1 {
-			return res, fmt.Errorf("baseline: odd-even sort needs exactly one packet per processor, rank %d has %d", rank, len(held))
+			return false, fmt.Errorf("baseline: odd-even sort needs exactly one packet per processor, rank %d has %d", rank, len(held))
 		}
 		ps[idx] = net.Packet(held[0])
 	}
@@ -64,8 +55,6 @@ func OddEvenSnakeSort(net *engine.Net, sc *index.Scheme) (OddEvenResult, error) 
 				swapped = true
 			}
 		}
-		res.Rounds++
-		res.Steps++
 		net.AdvanceClock(1)
 		if !swapped && round > 0 {
 			// One quiet round after at least one pass of the other
@@ -90,32 +79,33 @@ func OddEvenSnakeSort(net *engine.Net, sc *index.Scheme) (OddEvenResult, error) 
 		ps[idx].Dst = rank
 		net.SetHeld(rank, append(net.Held(rank)[:0], int32(ps[idx].ID)))
 	}
-	res.Sorted = true
 	for i := 0; i+1 < N; i++ {
 		if less(ps[i+1], ps[i]) {
-			res.Sorted = false
-			break
+			return false, nil
 		}
 	}
-	return res, nil
+	return true, nil
 }
 
 // RunOddEven builds a network from keys (one per processor, canonical
 // rank order) and sorts it with OddEvenSnakeSort under the plain snake
-// scheme, as a one-phase pipeline program.
-func RunOddEven(s grid.Shape, keys []int64, opts RunOpts) (OddEvenResult, error) {
-	var res OddEvenResult
+// scheme, as a one-phase pipeline program. Each round is one step of the
+// report's TotalSteps and RouteSteps.
+func RunOddEven(s grid.Shape, keys []int64, opts RunOpts) (pipeline.Report, error) {
+	rep := pipeline.Report{Algorithm: "oddeven"}
 	if err := s.Validate(); err != nil {
-		return res, fmt.Errorf("baseline: %w", err)
+		return rep, fmt.Errorf("baseline: %w", err)
 	}
 	runner := opts.runner(s)
 	if _, err := runner.InjectKeys(1, keys); err != nil {
-		return res, err
+		return rep, err
 	}
-	err := runner.Run(pipeline.Local{Name: "odd-even", Kind: "shear", Apply: func(net *engine.Net) (int, error) {
-		r, err := OddEvenSnakeSort(net, index.Snake(s))
-		res = r
+	var sorted bool
+	err := runner.Run(pipeline.Local{Name: "odd-even", Kind: "shear", Apply: func(net *engine.Net) (cost int, err error) {
+		sorted, err = OddEvenSnakeSort(net, index.Snake(s))
 		return 0, err
 	}})
-	return res, err
+	rep = report(runner, "oddeven")
+	rep.Sorted, rep.Delivered = sorted, sorted
+	return rep, err
 }

@@ -30,8 +30,8 @@ func TestOddEvenSorts(t *testing.T) {
 		if !res.Sorted {
 			t.Errorf("%v: not sorted", s)
 		}
-		if res.Rounds > s.N()+2 {
-			t.Errorf("%v: %d rounds exceeds N", s, res.Rounds)
+		if res.TotalSteps > s.N()+2 {
+			t.Errorf("%v: %d rounds exceeds N", s, res.TotalSteps)
 		}
 	}
 }
@@ -87,8 +87,8 @@ func TestOddEvenAlreadySortedIsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds > 3 {
-		t.Errorf("sorted input took %d rounds", res.Rounds)
+	if res.TotalSteps > 3 {
+		t.Errorf("sorted input took %d rounds", res.TotalSteps)
 	}
 }
 
@@ -104,8 +104,8 @@ func TestOddEvenWorstCaseIsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds < s.N()/2 {
-		t.Errorf("reversed input took only %d rounds; expected near-linear", res.Rounds)
+	if res.TotalSteps < s.N()/2 {
+		t.Errorf("reversed input took only %d rounds; expected near-linear", res.TotalSteps)
 	}
 	if !res.Sorted {
 		t.Error("not sorted")

@@ -43,66 +43,66 @@ func (opts RunOpts) runner(s grid.Shape) *pipeline.Runner {
 	return pipeline.New(cfg)
 }
 
-// ShearSortResult reports a standalone in-mesh shearsort run.
-type ShearSortResult struct {
-	Steps      int  // simulated steps (== the network clock)
-	Iterations int  // shear iterations used
-	Fallback   int  // fallback transposition rounds used (0 = pure shearsort)
-	Sorted     bool // certification of the outcome
-	Diameter   int
-	Phases     []pipeline.PhaseStat
-}
-
 // ShearSort sorts one key per processor into the snake order of the
 // whole mesh by the in-mesh multi-dimensional shearsort, treating the
 // entire network as a single block and executing it as a one-phase
 // pipeline program. This is the fully-simulated O(n log n)-per-dimension
 // baseline that SimpleSort's block-local phases reuse (see
 // core.Config.RealLocalSort); run standalone it shows why shearing the
-// whole mesh loses to the paper's block-then-route structure.
-func ShearSort(s grid.Shape, keys []int64, opts RunOpts) (ShearSortResult, error) {
+// whole mesh loses to the paper's block-then-route structure. The report
+// counts the shear iterations as MergeRounds.
+func ShearSort(s grid.Shape, keys []int64, opts RunOpts) (pipeline.Report, error) {
+	rep := pipeline.Report{Algorithm: "shearsort"}
 	if err := s.Validate(); err != nil {
-		return ShearSortResult{}, fmt.Errorf("baseline: %w", err)
+		return rep, fmt.Errorf("baseline: %w", err)
 	}
-	res := ShearSortResult{Diameter: s.Diameter()}
 	runner := opts.runner(s)
 	if _, err := runner.InjectKeys(1, keys); err != nil {
-		return res, err
+		return rep, err
 	}
 	// One block spanning the whole mesh: its local snake order is the
 	// global snake order.
 	b := index.BlockedSnake(s, s.Side)
 	if b.BlockCount() != 1 {
-		return res, fmt.Errorf("baseline: whole-mesh blocking produced %d blocks", b.BlockCount())
+		return rep, fmt.Errorf("baseline: whole-mesh blocking produced %d blocks", b.BlockCount())
 	}
-	err := runner.Run(pipeline.Local{Name: "shearsort", Kind: "shear", Apply: func(net *engine.Net) (int, error) {
-		st, err := ShearSortBlocks(net, b, []int{b.BlockAtOrder(0)})
-		res.Iterations = st.Iterations
-		res.Fallback = st.Fallback
+	var st ShearStats
+	err := runner.Run(pipeline.Local{Name: "shearsort", Kind: "shear", Apply: func(net *engine.Net) (cost int, err error) {
+		st, err = ShearSortBlocks(net, b, []int{b.BlockAtOrder(0)})
 		return 0, err
 	}})
-	tot := runner.Totals()
-	res.Steps = tot.TotalSteps
-	res.Phases = tot.Phases
+	rep = report(runner, "shearsort")
+	rep.MergeRounds, rep.FallbackRounds = st.Iterations, st.Fallback
 	if err != nil {
-		return res, err
+		return rep, err
 	}
 
 	net := runner.Net()
 	var prev *engine.Packet
-	res.Sorted = true
+	rep.Sorted = true
 	for idx := 0; idx < s.N(); idx++ {
 		held := net.Held(b.RankAt(idx))
 		if len(held) != 1 {
-			res.Sorted = false
+			rep.Sorted = false
 			break
 		}
 		p := net.Packet(held[0])
 		if prev != nil && (p.Key < prev.Key || (p.Key == prev.Key && p.ID < prev.ID)) {
-			res.Sorted = false
+			rep.Sorted = false
 			break
 		}
 		prev = p
 	}
-	return res, nil
+	rep.Delivered = rep.Sorted
+	return rep, nil
+}
+
+// report returns the runner's report of a baseline run. A baseline's
+// "shear"-kind phase is one communication step per round, so its steps
+// are reported as routing steps rather than charged oracle steps.
+func report(runner *pipeline.Runner, alg string) pipeline.Report {
+	rep := runner.Report()
+	rep.Algorithm = alg
+	rep.RouteSteps, rep.OracleSteps = rep.RouteSteps+rep.OracleSteps, 0
+	return rep
 }

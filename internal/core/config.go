@@ -246,26 +246,12 @@ func (c Config) scheme() *index.Blocked {
 // public result types stable.
 type PhaseStat = pipeline.PhaseStat
 
-// Result reports a completed sorting (or selection/routing) run.
+// Result reports a completed sorting run: the runner's Report (steps,
+// phases, MergeRounds, MaxPairDist, Sorted) plus the configuration and
+// the final key placement.
 type Result struct {
-	Algorithm string
-	Config    Config
-
-	TotalSteps  int // final simulated clock
-	RouteSteps  int // steps spent in simulated routing phases
-	OracleSteps int // steps charged for local (oracle) phases
-	MergeRounds int // odd-even block merge rounds needed by the cleanup phase
-	MaxQueue    int // peak per-processor packet count across the run
-	Stranded    int // packets stranded by the patience budget, summed over phases
-
-	// MaxPairDist is CopySort/TorusSort specific: the maximum over all
-	// packets of min(dist(original, destination), dist(copy,
-	// destination)) at deletion time; Lemmas 3.3/3.4 bound it by
-	// D/2 + o(n).
-	MaxPairDist int
-
-	Phases []PhaseStat
-	Sorted bool
+	pipeline.Report
+	Config Config
 
 	// Final holds the keys in sort-index order after the run (k per
 	// index), for inspection and cross-checking against reference sorts.
@@ -289,14 +275,3 @@ func (r Result) RouteRatio() float64 { return float64(r.RouteSteps) / float64(r.
 
 // TotalRatio returns TotalSteps normalized by the diameter.
 func (r Result) TotalRatio() float64 { return float64(r.TotalSteps) / float64(r.Diameter()) }
-
-// fromTotals copies the pipeline runner's accumulated statistics — the
-// one place phase stats are produced — into the public result.
-func (r *Result) fromTotals(t pipeline.Totals) {
-	r.TotalSteps = t.TotalSteps
-	r.RouteSteps = t.RouteSteps
-	r.OracleSteps = t.OracleSteps
-	r.MaxQueue = t.MaxQueue
-	r.Stranded = t.Stranded
-	r.Phases = t.Phases
-}

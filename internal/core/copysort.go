@@ -50,7 +50,7 @@ func TorusSort(cfg Config, keys []int64) (Result, error) {
 // the doubled population, local rank i in region block j' estimates the
 // (doubled) global rank as i*R + j', i.e. the key rank as (i*R + j')/2.
 func pairedSort(cfg Config, keys []int64, name string) (Result, error) {
-	res := Result{Algorithm: name, Config: cfg}
+	res := Result{Report: pipeline.Report{Algorithm: name}, Config: cfg}
 	if err := cfg.Validate(); err != nil {
 		return res, err
 	}
@@ -98,6 +98,8 @@ func pairedSort(cfg Config, keys []int64, name string) (Result, error) {
 	}
 
 	var sorted, regionSorted [][]int32
+	var ex pipeline.Extras       // MaxPairDist and MergeRounds, set by the phases
+	var merged bool              // the merge cleanup found the mesh sorted
 	pos := make([]int, 2*N)      // packet id -> current processor
 	est := make([]int, 2*N)      // packet id -> estimated key rank (originals only)
 	dropped := make([]bool, 2*N) // packet id -> lost the pair resolution
@@ -169,7 +171,7 @@ func pairedSort(cfg Config, keys []int64, name string) (Result, error) {
 					dropped[p.ID] = true
 				}
 			}
-			res.MaxPairDist = maxPair
+			ex.MaxPairDist = maxPair
 			return nil
 		}},
 
@@ -215,17 +217,17 @@ func pairedSort(cfg Config, keys []int64, name string) (Result, error) {
 		}},
 
 		// Step (5): odd-even block merges until sorted.
-		mergeCleanupPhase(blocked, 1, cfg.Cost, runner, 0, &res.MergeRounds, &res.Sorted),
+		mergeCleanupPhase(blocked, 1, cfg.Cost, runner, 0, &ex.MergeRounds, &merged),
 	}
 	err = runner.Run(prog...)
-	res.fromTotals(runner.Totals())
+	res.Report = runner.Report()
+	res.Algorithm, res.Extras = name, ex
+	res.Sorted = merged || err == nil && isSorted(runner, blocked, 1)
+	res.Delivered = res.Sorted
 	if err != nil {
 		return res, fmt.Errorf("core: %s: %w", name, err)
 	}
 	net := runner.Net()
-	if !res.Sorted {
-		res.Sorted = isSorted(runner, blocked, 1)
-	}
 	if !res.Sorted {
 		return res, fmt.Errorf("core: %s failed to sort within %d merge rounds", name, res.MergeRounds)
 	}

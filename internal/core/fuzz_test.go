@@ -100,7 +100,7 @@ func FuzzSelect(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Correct {
+		if !res.Delivered {
 			t.Fatalf("Select(rank=%d) = %d is wrong", rank, res.Value)
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"meshsort/internal/perm"
+	"meshsort/internal/pipeline"
 	"meshsort/internal/traffic"
 )
 
@@ -21,25 +22,25 @@ import (
 //
 // A k-relation load (exactly k sends and k receives per node — the k-k
 // routing of Cor 3.1.1) is accepted as the special case ℓ = k.
-func LKRoute(cfg RouteConfig, load traffic.Load) (RouteAlgResult, error) {
+func LKRoute(cfg RouteConfig, load traffic.Load) (pipeline.Report, error) {
 	l, k := load.L, load.K
 	switch load.Demand {
 	case traffic.LKRelation:
 	case traffic.KRelation:
 		l, k = load.K, load.K
 	default:
-		return RouteAlgResult{}, fmt.Errorf("core: LKRoute wants an (ℓ,k)- or k-relation load, got %q", load.String())
+		return pipeline.Report{}, fmt.Errorf("core: LKRoute wants an (ℓ,k)- or k-relation load, got %q", load.String())
 	}
 	if l < 1 || k < 1 {
-		return RouteAlgResult{}, fmt.Errorf("core: LKRoute needs ℓ >= 1 and k >= 1, got ℓ=%d k=%d", l, k)
+		return pipeline.Report{}, fmt.Errorf("core: LKRoute needs ℓ >= 1 and k >= 1, got ℓ=%d k=%d", l, k)
 	}
 	n := cfg.Shape.N()
 	pairs, err := load.Pairs(n)
 	if err != nil {
-		return RouteAlgResult{}, err
+		return pipeline.Report{}, err
 	}
 	if err := traffic.Validate(pairs, n, l, k); err != nil {
-		return RouteAlgResult{}, err
+		return pipeline.Report{}, err
 	}
 	prob := perm.Problem{
 		Name: load.String(),

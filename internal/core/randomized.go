@@ -27,7 +27,7 @@ import (
 // merge cleanup typically runs slightly longer than in the deterministic
 // form — that difference is the content of experiment E14.
 func RandSimpleSort(cfg Config, keys []int64) (Result, error) {
-	res := Result{Algorithm: "RandSimpleSort", Config: cfg}
+	res := Result{Report: pipeline.Report{Algorithm: "RandSimpleSort"}, Config: cfg}
 	if err := cfg.Validate(); err != nil {
 		return res, err
 	}
@@ -58,6 +58,8 @@ func RandSimpleSort(cfg Config, keys []int64) (Result, error) {
 	routeBound := 3 * s.Diameter() / 4
 
 	var centerSorted [][]int32
+	var merges int
+	var sorted bool
 	prog := []pipeline.Phase{
 		// Step (1) is not needed in the randomized form (no local ranks
 		// are used for the spreading), but the packets still pay the
@@ -107,17 +109,17 @@ func RandSimpleSort(cfg Config, keys []int64) (Result, error) {
 		}},
 
 		// Step (5): merge cleanup.
-		mergeCleanupPhase(blocked, k, cfg.Cost, runner, 0, &res.MergeRounds, &res.Sorted),
+		mergeCleanupPhase(blocked, k, cfg.Cost, runner, 0, &merges, &sorted),
 	}
 	err := runner.Run(prog...)
-	res.fromTotals(runner.Totals())
+	res.Report = runner.Report()
+	res.Algorithm, res.MergeRounds = "RandSimpleSort", merges
+	res.Sorted = sorted || err == nil && isSorted(runner, blocked, k)
+	res.Delivered = res.Sorted
 	if err != nil {
 		return res, fmt.Errorf("core: RandSimpleSort: %w", err)
 	}
 	net := runner.Net()
-	if !res.Sorted {
-		res.Sorted = isSorted(runner, blocked, k)
-	}
 	if !res.Sorted {
 		return res, fmt.Errorf("core: RandSimpleSort failed to sort within %d merge rounds", res.MergeRounds)
 	}
@@ -133,9 +135,9 @@ func RandSimpleSort(cfg Config, keys []int64) (Result, error) {
 // *processor* within D/2 + nu of both its source and its destination
 // (per-processor S_nu(x,y), as in the paper's randomized description),
 // found by rejection sampling with a deterministic block-based fallback.
-func RandTwoPhaseRoute(cfg RouteConfig, prob perm.Problem) (RouteAlgResult, error) {
+func RandTwoPhaseRoute(cfg RouteConfig, prob perm.Problem) (pipeline.Report, error) {
 	s := cfg.Shape
-	res := RouteAlgResult{Algorithm: "RandTwoPhaseRoute", Nu: cfg.nu()}
+	res := pipeline.Report{Algorithm: "RandTwoPhaseRoute", Extras: pipeline.Extras{Nu: cfg.nu()}}
 	if cfg.BlockSide < 1 || s.Side%cfg.BlockSide != 0 {
 		return res, fmt.Errorf("core: block side %d must divide mesh side %d", cfg.BlockSide, s.Side)
 	}
@@ -188,7 +190,7 @@ func RandTwoPhaseRoute(cfg RouteConfig, prob perm.Problem) (RouteAlgResult, erro
 			return nil
 		}},
 	)
-	res.fromTotals(runner.Totals())
+	res = routeReport(runner, res)
 	if err != nil {
 		return res, fmt.Errorf("core: randomized routing: %w", err)
 	}

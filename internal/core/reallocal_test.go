@@ -72,7 +72,7 @@ func TestRealLocalSortSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Correct {
+	if !res.Delivered {
 		t.Error("median wrong in real mode")
 	}
 }

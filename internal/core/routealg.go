@@ -75,32 +75,6 @@ func (c RouteConfig) nu() int {
 	return c.Shape.Side / 2
 }
 
-// RouteAlgResult reports a two-phase routing run.
-type RouteAlgResult struct {
-	Algorithm   string
-	Nu          int // requested slack
-	EffectiveNu int // slack actually needed (>= Nu when some block pair forced a relaxation)
-	Bound       int // D + 2*EffectiveNu: the theorem's bound for the run
-	TotalSteps  int
-	RouteSteps  int
-	OracleSteps int
-	MaxQueue    int
-	Stranded    int // packets stranded by the patience budget, summed over phases
-	Phases      []PhaseStat
-	Delivered   bool
-}
-
-// fromTotals copies the pipeline runner's accumulated statistics into
-// the public result.
-func (r *RouteAlgResult) fromTotals(t pipeline.Totals) {
-	r.TotalSteps = t.TotalSteps
-	r.RouteSteps = t.RouteSteps
-	r.OracleSteps = t.OracleSteps
-	r.MaxQueue = t.MaxQueue
-	r.Stranded = t.Stranded
-	r.Phases = t.Phases
-}
-
 // TwoPhaseRoute routes a 1-1 problem in two distance-bounded phases.
 // Deterministic version of Section 5: the network is partitioned into
 // blocks of side b; all packets with sources in block X and destinations
@@ -110,10 +84,11 @@ func (r *RouteAlgResult) fromTotals(t pipeline.Totals) {
 // radii), so a packet assigned to S_nu travels at most D/2 + nu in each
 // phase. If S_nu(X,Y) is empty for some pair at the given finite size,
 // the slack is relaxed minimally for that pair and the relaxation is
-// reported in EffectiveNu.
-func TwoPhaseRoute(cfg RouteConfig, prob perm.Problem) (RouteAlgResult, error) {
+// reported in EffectiveNu. The report's Bound is the theorem's
+// D + 2*EffectiveNu for the whole run.
+func TwoPhaseRoute(cfg RouteConfig, prob perm.Problem) (pipeline.Report, error) {
 	s := cfg.Shape
-	res := RouteAlgResult{Algorithm: "TwoPhaseRoute", Nu: cfg.nu()}
+	res := pipeline.Report{Algorithm: "TwoPhaseRoute", Extras: pipeline.Extras{Nu: cfg.nu(), EffectiveNu: cfg.nu()}}
 	if err := s.Validate(); err != nil {
 		return res, fmt.Errorf("core: %w", err)
 	}
@@ -126,7 +101,6 @@ func TwoPhaseRoute(cfg RouteConfig, prob perm.Problem) (RouteAlgResult, error) {
 	D := s.Diameter()
 	d := s.Dim
 	nu := cfg.nu()
-	res.EffectiveNu = nu
 
 	runner := cfg.runner()
 	net := runner.Net()
@@ -169,8 +143,7 @@ func TwoPhaseRoute(cfg RouteConfig, prob perm.Problem) (RouteAlgResult, error) {
 	}
 	for i, p := range pkts {
 		if i%cancelPollStride == 0 && cancelled() {
-			res.fromTotals(runner.Totals())
-			return res, fmt.Errorf("core: two-phase routing: %w during intermediate assignment", engine.ErrCancelled)
+			return routeReport(runner, res), fmt.Errorf("core: two-phase routing: %w during intermediate assignment", engine.ErrCancelled)
 		}
 		x := bs.BlockOf(prob.Src[i])
 		y := bs.BlockOf(prob.Dst[i])
@@ -253,7 +226,7 @@ func TwoPhaseRoute(cfg RouteConfig, prob perm.Problem) (RouteAlgResult, error) {
 		}},
 		pipeline.Route{Name: "to-destination", Bound: phaseBound},
 	)
-	res.fromTotals(runner.Totals())
+	res = routeReport(runner, res)
 	if err != nil {
 		return res, fmt.Errorf("core: two-phase routing: %w", err)
 	}
@@ -330,4 +303,14 @@ func MinNu(s grid.Shape, blockSide int) int {
 		nu = 0
 	}
 	return nu
+}
+
+// routeReport returns the runner's report of a two-phase routing run,
+// labelled with the run's own fields: its algorithm, its slack extras and
+// the theorem's whole-run bound D + 2*EffectiveNu (once known), which
+// replaces the folded sum of the phase bounds.
+func routeReport(runner *pipeline.Runner, own pipeline.Report) pipeline.Report {
+	rep := runner.Report()
+	rep.Algorithm, rep.Bound, rep.Extras = own.Algorithm, own.Bound, own.Extras
+	return rep
 }

@@ -10,24 +10,6 @@ import (
 	"meshsort/internal/radix"
 )
 
-// SelectResult reports a distributed selection run.
-type SelectResult struct {
-	Algorithm   string
-	Target      int   // requested rank
-	Value       int64 // key delivered to the target processor
-	Correct     bool  // certified against a reference sort
-	TotalSteps  int
-	RouteSteps  int
-	OracleSteps int
-	MaxQueue    int
-	// Candidates is the number of packets whose estimated rank fell
-	// within the sampling-error window of the target: the set that a
-	// fully local implementation would forward to the target processor
-	// in the last hop.
-	Candidates int
-	Phases     []PhaseStat
-}
-
 // Select implements the selection upper bound of Section 4.3: the packet
 // of a given rank (e.g. the median, rank N/2) is delivered to the center
 // processor in D + o(n) steps on the mesh. It reuses the first half of
@@ -43,8 +25,14 @@ type SelectResult struct {
 // companion upper bound constrains. On the torus the same pipeline runs
 // with the region around the designated target processor; the paper's
 // bound there is (1+eps)D for large d.
-func Select(cfg Config, keys []int64, targetRank int) (SelectResult, error) {
-	res := SelectResult{Algorithm: "Select", Target: targetRank}
+//
+// The report's Bound is D, Delivered certifies Value against a reference
+// sort, and Candidates is the number of packets whose estimated rank fell
+// within the sampling-error window of the target: the set that a fully
+// local implementation would forward to the target processor in the last
+// hop.
+func Select(cfg Config, keys []int64, targetRank int) (pipeline.Report, error) {
+	res := pipeline.Report{Algorithm: "Select", Extras: pipeline.Extras{Target: targetRank}}
 	if err := cfg.Validate(); err != nil {
 		return res, err
 	}
@@ -79,6 +67,7 @@ func Select(cfg Config, keys []int64, targetRank int) (SelectResult, error) {
 
 	var sorted, centerSorted [][]int32
 	var targetPkt *engine.Packet
+	candidates := 0
 	err := runner.Run(
 		// Phases (1)-(3) of SimpleSort: concentrate into C, sort locally.
 		localSortPhase("local-sort-1", blocked, allBlocks(blocked), cfg, runner, &sorted),
@@ -109,7 +98,7 @@ func Select(cfg Config, keys []int64, targetRank int) (SelectResult, error) {
 				for i, id := range ps {
 					est := i*R + jp
 					if est >= targetRank-window && est <= targetRank+window {
-						res.Candidates++
+						candidates++
 					}
 					all = append(all, radix.Ref{Key: radix.FlipInt64(net.Packet(id).Key), ID: id})
 				}
@@ -127,12 +116,9 @@ func Select(cfg Config, keys []int64, targetRank int) (SelectResult, error) {
 			return nil
 		}},
 	)
-	tot := runner.Totals()
-	res.TotalSteps = tot.TotalSteps
-	res.RouteSteps = tot.RouteSteps
-	res.OracleSteps = tot.OracleSteps
-	res.MaxQueue = tot.MaxQueue
-	res.Phases = tot.Phases
+	res = runner.Report()
+	res.Algorithm, res.Bound = "Select", D
+	res.Target, res.Candidates = targetRank, candidates
 	if err != nil {
 		return res, fmt.Errorf("core: select: %w", err)
 	}
@@ -143,6 +129,6 @@ func Select(cfg Config, keys []int64, targetRank int) (SelectResult, error) {
 	sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
 	// Tie order between equal keys cannot change the key value found at
 	// any fixed rank, so comparing values is exact.
-	res.Correct = res.Value == ref[targetRank]
+	res.Delivered = res.Value == ref[targetRank]
 	return res, nil
 }

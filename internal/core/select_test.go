@@ -15,7 +15,7 @@ func TestSelectFindsRanks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
-		if !res.Correct {
+		if !res.Delivered {
 			t.Errorf("rank %d: wrong value %d", rank, res.Value)
 		}
 	}
@@ -32,7 +32,7 @@ func TestSelectWithDuplicates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Correct {
+		if !res.Delivered {
 			t.Errorf("rank %d with duplicates: value %d", rank, res.Value)
 		}
 	}
@@ -56,7 +56,7 @@ func TestSelectTimeNearDiameter(t *testing.T) {
 		if res.RouteSteps > D+slack {
 			t.Errorf("%v: selection routing %d steps > D + slack = %d", cfg.Shape, res.RouteSteps, D+slack)
 		}
-		if !res.Correct {
+		if !res.Delivered {
 			t.Error("median wrong")
 		}
 	}
@@ -69,7 +69,7 @@ func TestSelectOnTorus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Correct {
+	if !res.Delivered {
 		t.Error("torus median wrong")
 	}
 }

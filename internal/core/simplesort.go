@@ -44,7 +44,7 @@ func SimpleSort(cfg Config, keys []int64) (Result, error) {
 // (centerStash), so a warm re-run of an equal-keyed configuration
 // compiles nothing and allocates nothing.
 func centerSort(cfg Config, keys []int64, name string) (Result, error) {
-	res := Result{Algorithm: name, Config: cfg}
+	res := Result{Report: pipeline.Report{Algorithm: name}, Config: cfg}
 	if err := cfg.Validate(); err != nil {
 		return res, err
 	}
@@ -60,15 +60,14 @@ func centerSort(cfg Config, keys []int64, name string) (Result, error) {
 	}
 	st.mergeRounds, st.sortedFlag = 0, false
 	err := runner.Run(st.prog...)
-	res.MergeRounds, res.Sorted = st.mergeRounds, st.sortedFlag
-	res.fromTotals(runner.Totals())
+	res.Report = runner.Report()
+	res.Algorithm, res.MergeRounds = name, st.mergeRounds
+	res.Sorted = st.sortedFlag || err == nil && st.scan.isSorted()
+	res.Delivered = res.Sorted
 	if err != nil {
 		return res, fmt.Errorf("core: %s: %w", name, err)
 	}
 	net := runner.Net()
-	if !res.Sorted {
-		res.Sorted = st.scan.isSorted()
-	}
 	if !res.Sorted {
 		return res, fmt.Errorf("core: %s failed to sort within %d merge rounds", name, res.MergeRounds)
 	}

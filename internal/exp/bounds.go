@@ -110,7 +110,7 @@ func E9Selection(o Options) []*stats.Table {
 			panic(err)
 		}
 		D := c.s.Diameter()
-		t1.Addf(c.s.String(), c.b, D, res.RouteSteps, float64(res.RouteSteps)/float64(D), res.Candidates, res.Correct)
+		t1.Addf(c.s.String(), c.b, D, res.RouteSteps, float64(res.RouteSteps)/float64(D), res.Candidates, res.Delivered)
 	}
 
 	t2 := stats.NewTable(

@@ -93,7 +93,7 @@ func E4Baselines(o Options) *stats.Table {
 	if err != nil {
 		panic(err)
 	}
-	t.Addf("OddEven(3d,n=8)", "N/D", oe.Steps, float64(oe.Steps)/float64(small.Diameter()), oe.Steps, "classic Theta(N) sorter")
+	t.Addf("OddEven(3d,n=8)", "N/D", oe.TotalSteps, float64(oe.TotalSteps)/float64(small.Diameter()), oe.TotalSteps, "classic Theta(N) sorter")
 	return t
 }
 

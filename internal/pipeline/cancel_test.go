@@ -37,7 +37,7 @@ func TestRunCancelsAtPhaseBoundary(t *testing.T) {
 	if ran != 1 {
 		t.Fatalf("ran %d phases, want 1 (cancel must stop the program at the boundary)", ran)
 	}
-	tot := r.Totals()
+	tot := r.Report()
 	if tot.TotalSteps != 7 || len(tot.Phases) != 1 {
 		t.Errorf("totals after cancel: steps=%d phases=%d, want the completed prefix (7 steps, 1 phase)",
 			tot.TotalSteps, len(tot.Phases))

@@ -48,12 +48,17 @@
 // The Runner is the only place PhaseStats are produced: Route stats come
 // from engine.RouteResult (steps, distances, queue high-water, stranding,
 // throughput), Local/Loop stats from the clock delta plus the returned
-// cost. Totals accumulates them (RouteSteps, OracleSteps, MaxQueue,
-// Stranded) and TotalSteps always equals the final simulated clock.
+// cost. Each stat is folded into the runner's Report, the one record of
+// a run: RouteSteps, OracleSteps, MaxQueue and Stranded, the sum of the
+// route phases' bounds, and the last route phase's sojourn summary.
+// TotalSteps always equals the final simulated clock. The algorithm's
+// entry point labels the report (Algorithm, Delivered, Sorted), replaces
+// Bound where its theorem bounds the whole run, and fills in its Extras;
+// internal/service encodes that report as the wire result.
 //
 // A degraded run (engine livelock watchdog, MaxSteps; see
 // *engine.DegradedError) truncates the program: Run returns the wrapped
-// error, Totals keeps the completed prefix's stats, and TotalSteps still
+// error, the Report keeps the completed prefix's stats, and TotalSteps still
 // reflects the clock including the aborted phase's partial steps. The
 // raw partial engine.RouteResult of the failing phase remains available
 // via LastRoute.

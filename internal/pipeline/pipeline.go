@@ -26,7 +26,8 @@ type PhaseStat struct {
 	Kind  string // "route", "oracle", "shear", or "check"
 	Steps int
 	// Bound is the phase's step bound from the paper (0 = none stated):
-	// informational, carried into traces and experiment tables.
+	// informational, carried into traces, experiment tables and, for
+	// route phases, the sum that is the Report's default Bound.
 	Bound int
 	// Routing phases also record:
 	MaxDist      int   // max activation distance
@@ -48,24 +49,61 @@ type PhaseStat struct {
 // order. It runs on the caller's goroutine with the network quiescent.
 type Observer func(PhaseStat)
 
-// Totals accumulates a program's statistics. It is the single place
-// phase results are folded into run results; algorithm packages copy
-// these fields into their public result types.
-type Totals struct {
+// Report is the one record of a run, from the runner to the wire. The
+// runner folds every completed phase into it (add); the algorithm's entry
+// point then labels it (Algorithm, Delivered, Sorted), overrides Bound
+// where its theorem states one for the whole run, and fills in whichever
+// Extras it measures. internal/service encodes it as the JSON result.
+type Report struct {
+	Algorithm string
+	// Delivered is the run's success criterion: sortedness for the sorts,
+	// full delivery for routing, a certified answer for selection.
+	Delivered bool
+	Sorted    bool
+	// Bound is the paper's step bound for the run. The fold sets it to the
+	// sum of the route phases' bounds; routing (D + 2nu), selection (D)
+	// and the clique (k) replace it with their theorem's figure.
+	Bound int
+
 	TotalSteps  int // final simulated clock (includes aborted-phase steps)
 	RouteSteps  int // steps spent in simulated routing phases
 	OracleSteps int // steps charged for local (oracle) phases
 	MaxQueue    int // peak per-processor packet count across the run
 	Stranded    int // packets stranded by the patience budget, summed over phases
-	Phases      []PhaseStat
+
+	// Sojourn is the latency summary of the last route phase (the zero
+	// summary unless the run enabled sojourn accounting).
+	Sojourn stats.LatencySummary
+
+	Extras
+	Phases []PhaseStat
 }
 
-func (t *Totals) add(st PhaseStat) {
+// Extras are the algorithm-specific figures of a Report; an algorithm
+// that does not measure one leaves it zero.
+type Extras struct {
+	MergeRounds int // odd-even block merge rounds (shear iterations for alg=shear)
+	// MaxPairDist is CopySort/TorusSort's largest distance between a
+	// packet and its copy after the center sort (Lemmas 3.3/3.4).
+	MaxPairDist    int
+	FallbackRounds int // whole-mesh shearsort's fallback transposition rounds
+
+	Nu          int // two-phase routing: requested slack
+	EffectiveNu int // slack actually needed (>= Nu when a block pair forced a relaxation)
+
+	Target     int   // selection: requested rank
+	Value      int64 // key delivered to the target processor
+	Candidates int   // packets whose estimated rank fell within the sampling window
+}
+
+func (t *Report) add(st PhaseStat) {
 	t.Phases = append(t.Phases, st)
 	switch st.Kind {
 	case KindRoute:
 		t.RouteSteps += st.Steps
 		t.Stranded += st.Stranded
+		t.Bound += st.Bound
+		t.Sojourn = st.Sojourn
 	case KindCheck:
 		// Zero-cost barrier.
 	default:
@@ -161,7 +199,7 @@ type Config struct {
 type Runner struct {
 	cfg  Config
 	net  *engine.Net
-	tot  Totals
+	rep  Report
 	last engine.RouteResult
 	srts []*radix.Sorter  // per-worker-slot sorters, grown on demand
 	pkts []*engine.Packet // InjectKeys handle slab, reused across runs
@@ -295,7 +333,7 @@ func (r *Runner) RunBlocks(n int, fn func(w, i int)) {
 // Reset re-arms the runner (and its network) for a fresh problem under a
 // new configuration, reusing all learned storage: the packet arena, the
 // per-processor queues, the engine's step scratch, and the radix slabs.
-// Accumulated totals and the last route result are discarded. This is
+// The accumulated report and the last route result are discarded. This is
 // the steady-state entry point: a warm runner re-running a same-shaped
 // problem allocates only what the algorithm's own bookkeeping needs.
 //
@@ -318,19 +356,20 @@ func (r *Runner) Reset(cfg Config) {
 	r.net.Pool = cfg.Pool
 	r.net.ShardShift = cfg.ShardShift
 	// Keep the phase-stat slab: the stats of a warm re-run overwrite the
-	// previous run's entries in place, so Totals().Phases (and any result
+	// previous run's entries in place, so Report().Phases (and any result
 	// that aliases it) is valid only until the next run on this runner —
-	// callers that outlive that must copy. The service layer's encoders
-	// do; so does anything comparing two runs.
-	r.tot = Totals{Phases: r.tot.Phases[:0]}
+	// callers that outlive that must copy. The service layer's encoder
+	// does; so does anything comparing two runs.
+	r.rep = Report{Phases: r.rep.Phases[:0]}
 	r.last = engine.RouteResult{}
 }
 
-// Totals returns the statistics accumulated so far. TotalSteps always
-// reflects the current clock, so after a mid-program error the totals
-// carry the completed prefix's phases plus the aborted phase's clock.
-func (r *Runner) Totals() Totals {
-	t := r.tot
+// Report returns the run's report folded so far. TotalSteps always
+// reflects the current clock, so after a mid-program error the report
+// carries the completed prefix's phases plus the aborted phase's clock.
+// It allocates nothing: Phases aliases the runner's slab.
+func (r *Runner) Report() Report {
+	t := r.rep
 	t.TotalSteps = r.net.Clock()
 	if r.net.MaxQueue > t.MaxQueue {
 		t.MaxQueue = r.net.MaxQueue
@@ -386,17 +425,17 @@ func (r *Runner) InjectKeys(k int, keys []int64) ([]*engine.Packet, error) {
 	return pkts, nil
 }
 
-// Run executes the phases in order, accumulating stats into Totals and
+// Run executes the phases in order, folding stats into the Report and
 // reporting each completed phase to the observer. The first phase error
 // aborts the program; the error is wrapped with the phase name and the
-// totals keep the completed prefix's stats (plus the aborted phase's
+// report keeps the completed prefix's stats (plus the aborted phase's
 // clock in TotalSteps).
 //
 // When cfg.Route.Cancel is set, Run also polls it between phases, so a
 // program whose remaining phases are all local/oracle work still yields:
 // Route phases cancel at step boundaries inside the engine, everything
 // else at the next phase boundary. A cancelled run returns an error
-// satisfying errors.Is(err, engine.ErrCancelled) and the totals keep the
+// satisfying errors.Is(err, engine.ErrCancelled) and the report keeps the
 // completed prefix, exactly as for any other mid-program error.
 func (r *Runner) Run(prog ...Phase) error {
 	for _, ph := range prog {
@@ -415,7 +454,7 @@ func (r *Runner) Run(prog ...Phase) error {
 }
 
 func (r *Runner) record(st PhaseStat) {
-	r.tot.add(st)
+	r.rep.add(st)
 	if r.cfg.Observer != nil {
 		r.cfg.Observer(st)
 	}

@@ -42,7 +42,7 @@ func TestLocalLoopInspectAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot := r.Totals()
+	tot := r.Report()
 	wantNames := []string{"charged", "self-advancing", "round", "round", "check"}
 	wantSteps := []int{5, 5, 4, 4, 0}
 	wantKinds := []string{"oracle", "shear", "oracle", "oracle", "check"}
@@ -90,7 +90,7 @@ func TestRoutePhaseAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot := r.Totals()
+	tot := r.Report()
 	if len(tot.Phases) != 1 || tot.Phases[0].Kind != pipeline.KindRoute {
 		t.Fatalf("phases = %+v", tot.Phases)
 	}
@@ -99,8 +99,8 @@ func TestRoutePhaseAccounting(t *testing.T) {
 		t.Errorf("steps: engine %d, phase %d, totals %d — must agree and be nonzero",
 			rr.Steps, tot.Phases[0].Steps, tot.RouteSteps)
 	}
-	if tot.Phases[0].Bound != s.Diameter() {
-		t.Errorf("bound %d not recorded", tot.Phases[0].Bound)
+	if tot.Phases[0].Bound != s.Diameter() || tot.Bound != s.Diameter() {
+		t.Errorf("bound: phase %d, report %d, want %d", tot.Phases[0].Bound, tot.Bound, s.Diameter())
 	}
 	if tot.Phases[0].MaxQueue != rr.MaxQueue || tot.MaxQueue < rr.MaxQueue {
 		t.Errorf("queue accounting: phase %d, totals %d, engine %d",
@@ -143,7 +143,7 @@ func TestPhaseErrorKeepsPrefix(t *testing.T) {
 	if err == nil {
 		t.Fatal("no error")
 	}
-	tot := r.Totals()
+	tot := r.Report()
 	if len(tot.Phases) != 1 || tot.Phases[0].Name != "ok" {
 		t.Fatalf("prefix phases = %+v, want just 'ok'", tot.Phases)
 	}
@@ -165,7 +165,7 @@ var errTest = testErr{}
 func TestRunnerReset(t *testing.T) {
 	s := grid.New(2, 4)
 	cfg := pipeline.Config{Shape: s, Policy: route.NewGreedy(s)}
-	reverse := func(r *pipeline.Runner) pipeline.Totals {
+	reverse := func(r *pipeline.Runner) pipeline.Report {
 		t.Helper()
 		keys := make([]int64, s.N())
 		pkts, err := r.InjectKeys(1, keys)
@@ -181,7 +181,7 @@ func TestRunnerReset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Totals()
+		return r.Report()
 	}
 	r := pipeline.New(cfg)
 	first := reverse(r)
@@ -189,7 +189,7 @@ func TestRunnerReset(t *testing.T) {
 	if r.Net().Clock() != 0 || r.Net().TotalPackets() != 0 {
 		t.Fatal("Reset left packets or clock behind")
 	}
-	if tot := r.Totals(); len(tot.Phases) != 0 || tot.TotalSteps != 0 || tot.MaxQueue != 0 {
+	if tot := r.Report(); len(tot.Phases) != 0 || tot.TotalSteps != 0 || tot.MaxQueue != 0 {
 		t.Fatalf("Reset kept totals: %+v", tot)
 	}
 	if rr := r.LastRoute(); rr.Steps != 0 {

@@ -27,12 +27,12 @@ func reversalProgram(s grid.Shape) pipeline.Phase {
 	}}
 }
 
-func runReversal(t *testing.T, r *pipeline.Runner) pipeline.Totals {
+func runReversal(t *testing.T, r *pipeline.Runner) pipeline.Report {
 	t.Helper()
 	if err := r.Run(reversalProgram(r.Net().Shape)); err != nil {
 		t.Fatal(err)
 	}
-	return r.Totals()
+	return r.Report()
 }
 
 // TestResetAcrossPoolsAndFaults pins down the documented Reset contract:

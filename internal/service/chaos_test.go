@@ -120,48 +120,69 @@ func TestChaosRollDeterministic(t *testing.T) {
 // DELETE-style Cancel on a long-running routing job (n=64, d=3 — over
 // a quarter million processors) reaches terminal state in well under a
 // second, because the engine yields at the next step boundary instead
-// of finishing the route.
+// of finishing the route. The partial result the job keeps must not
+// claim delivery.
 func TestCancelRunningJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large mesh in -short mode")
 	}
-	s := New(Options{Runners: 1, WorkersPerRunner: runtime.GOMAXPROCS(0)})
-	defer s.Close()
+	for _, tc := range []struct {
+		spec JobSpec
+		// settle is how long the job runs before the cancel: long enough
+		// to be inside the route (greedyroute's setup injects and
+		// classes every packet before its one phase starts).
+		settle time.Duration
+	}{
+		{JobSpec{Alg: AlgRoute, D: 3, N: 64, Seed: 1}, 100 * time.Millisecond},
+		{JobSpec{Alg: AlgGreedyRoute, D: 3, N: 64, Perm: "reversal", Seed: 1}, 500 * time.Millisecond},
+	} {
+		t.Run(tc.spec.Alg, func(t *testing.T) {
+			s := New(Options{Runners: 1, WorkersPerRunner: runtime.GOMAXPROCS(0)})
+			defer s.Close()
 
-	job, err := s.Submit(JobSpec{Alg: AlgRoute, D: 3, N: 64, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for job.Snapshot().Status == StatusQueued {
-		runtime.Gosched()
-	}
-	// Let it get properly into the route before pulling the plug.
-	time.Sleep(100 * time.Millisecond)
+			job, err := s.Submit(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for job.Snapshot().Status == StatusQueued {
+				runtime.Gosched()
+			}
+			// Let it get properly into the route before pulling the plug.
+			time.Sleep(tc.settle)
 
-	start := time.Now()
-	if _, ok := s.Cancel(job.ID); !ok {
-		t.Fatal("Cancel: job not found")
-	}
-	select {
-	case <-job.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled job never went terminal")
-	}
-	latency := time.Since(start)
+			start := time.Now()
+			if _, ok := s.Cancel(job.ID); !ok {
+				t.Fatal("Cancel: job not found")
+			}
+			select {
+			case <-job.Done():
+			case <-time.After(30 * time.Second):
+				t.Fatal("cancelled job never went terminal")
+			}
+			latency := time.Since(start)
 
-	st := job.Snapshot()
-	if st.Status != StatusCancelled {
-		t.Fatalf("status after cancel = %s (%s), want %s", st.Status, st.Error, StatusCancelled)
-	}
-	limit := time.Second
-	if raceEnabled {
-		limit = 5 * time.Second // the race detector slows each engine step
-	}
-	if latency > limit {
-		t.Errorf("cancel latency %v exceeds %v", latency, limit)
-	}
-	if s.Metrics().JobsCancelled != 1 {
-		t.Errorf("jobsCancelled = %d, want 1", s.Metrics().JobsCancelled)
+			st := job.Snapshot()
+			if st.Status != StatusCancelled {
+				t.Fatalf("status after cancel = %s (%s), want %s", st.Status, st.Error, StatusCancelled)
+			}
+			limit := time.Second
+			if raceEnabled {
+				limit = 5 * time.Second // the race detector slows each engine step
+			}
+			if latency > limit {
+				t.Errorf("cancel latency %v exceeds %v", latency, limit)
+			}
+			if s.Metrics().JobsCancelled != 1 {
+				t.Errorf("jobsCancelled = %d, want 1", s.Metrics().JobsCancelled)
+			}
+			// Under the race detector the setup alone may outlast settle.
+			if tc.spec.Alg == AlgGreedyRoute && st.Result == nil && !raceEnabled {
+				t.Fatal("cancelled greedyroute kept no partial result")
+			}
+			if st.Result != nil && st.Result.Delivered {
+				t.Errorf("cancelled job's partial result claims delivered (totalSteps %d)", st.Result.TotalSteps)
+			}
+		})
 	}
 }
 

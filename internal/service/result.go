@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"meshsort/internal/baseline"
-	"meshsort/internal/core"
-	"meshsort/internal/engine"
-	"meshsort/internal/grid"
 	"meshsort/internal/pipeline"
 	"meshsort/internal/stats"
 	"meshsort/internal/topo"
@@ -15,7 +11,7 @@ import (
 
 // Result is the JSON encoding of one completed simulation. It is the
 // wire type of the HTTP API and of cmd/meshsort -json, built from the
-// algorithm packages' result types by the from* constructors below.
+// run's pipeline.Report by encode, the one place a Result is made.
 // Everything except the per-phase throughput figures is deterministic
 // in the canonical spec; the cache stores the first run's Result
 // verbatim, so repeated jobs return byte-identical bodies.
@@ -33,7 +29,8 @@ type Result struct {
 
 	// Bound is the paper's step bound for the run's routing phases: the
 	// theorem bound D + 2nu for routing, the sum of the per-phase route
-	// bounds for the sorts, and the diameter for selection.
+	// bounds for the sorts, the diameter for selection, and k for a
+	// k-relation on the clique.
 	Bound int `json:"bound"`
 
 	TotalSteps  int `json:"totalSteps"`
@@ -108,26 +105,6 @@ func TracePhase(ph pipeline.PhaseStat) PhaseTrace {
 	return t
 }
 
-func tracePhases(phases []pipeline.PhaseStat) []PhaseTrace {
-	out := make([]PhaseTrace, len(phases))
-	for i, ph := range phases {
-		out[i] = TracePhase(ph)
-	}
-	return out
-}
-
-// routeBoundSum totals the per-phase theorem bounds of the routing
-// phases: the paper's step budget for the run's packet movement.
-func routeBoundSum(phases []pipeline.PhaseStat) int {
-	sum := 0
-	for _, ph := range phases {
-		if ph.Kind == pipeline.KindRoute {
-			sum += ph.Bound
-		}
-	}
-	return sum
-}
-
 // KeySum digests a final key sequence (k keys per sort index, in index
 // order) as the compact output witness carried in Result.KeySum.
 func KeySum(keys []int64) string {
@@ -142,171 +119,42 @@ func KeySum(keys []int64) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// fromSort encodes a sorting run (SimpleSort, CopySort, TorusSort,
-// FullSort). It also encodes partial runs (cancelled, timed out, or
-// degraded mid-program): the phase prefix and clock are real, Sorted is
-// false, and KeySum is omitted — a digest of a half-routed key placement
-// would be noise masquerading as a witness.
-func fromSort(res core.Result) Result {
-	s := res.Config.Shape
-	keySum := ""
-	if res.Sorted {
-		keySum = KeySum(res.Final)
-	}
-	return Result{
-		Algorithm:   res.Algorithm,
-		Shape:       s.String(),
-		N:           s.N(),
-		Diameter:    s.Diameter(),
-		Delivered:   res.Sorted,
-		Sorted:      res.Sorted,
-		Bound:       routeBoundSum(res.Phases),
-		TotalSteps:  res.TotalSteps,
-		RouteSteps:  res.RouteSteps,
-		OracleSteps: res.OracleSteps,
-		MaxQueue:    res.MaxQueue,
-		Stranded:    res.Stranded,
-		MergeRounds: res.MergeRounds,
-		MaxPairDist: res.MaxPairDist,
-		KeySum:      keySum,
-		Phases:      tracePhases(res.Phases),
-	}
-}
-
-// fromRouteAlg encodes a two-phase routing run.
-func fromRouteAlg(res core.RouteAlgResult, shape grid.Shape) Result {
-	return Result{
-		Algorithm:   res.Algorithm,
-		Shape:       shape.String(),
-		N:           shape.N(),
-		Diameter:    shape.Diameter(),
-		Delivered:   res.Delivered,
-		Bound:       res.Bound,
-		TotalSteps:  res.TotalSteps,
-		RouteSteps:  res.RouteSteps,
-		OracleSteps: res.OracleSteps,
-		MaxQueue:    res.MaxQueue,
-		Stranded:    res.Stranded,
-		Nu:          res.Nu,
-		EffectiveNu: res.EffectiveNu,
-		Phases:      tracePhases(res.Phases),
-	}
-}
-
-// fromCliqueRoute encodes a direct greedy k-relation run on the
-// congested clique. Bound is k: every node has a direct link to every
-// other, so greedy direct routing delivers a k-relation in at most k
-// steps (each directed link carries at most k packets, one per step) —
-// the congested-clique analogue of the mesh theorems' D + o(n).
-func fromCliqueRoute(res engine.RouteResult, tot pipeline.Totals, c *topo.Clique, k int, delivered bool) Result {
-	return Result{
-		Algorithm:  "CliqueGreedyRoute",
-		Shape:      c.String(),
-		N:          c.N(),
-		Diameter:   c.Diameter(),
-		Delivered:  delivered,
-		Bound:      k,
-		TotalSteps: tot.TotalSteps,
-		RouteSteps: tot.RouteSteps,
-		MaxQueue:   res.MaxQueue,
-		Stranded:   len(res.Stranded),
-		Phases:     tracePhases(tot.Phases),
-	}
-}
-
-// fromTraffic encodes a timed traffic run (alg=traffic): direct greedy
-// routing of a scheduled demand, measured by its sojourn distribution.
-// There is no theorem bound to record — the latency percentiles are the
-// result — so Bound stays 0.
-func fromTraffic(res engine.RouteResult, tot pipeline.Totals, shape grid.Shape, delivered bool) Result {
+// encode builds the wire Result of a run on topology t from its report.
+// It also encodes partial runs (cancelled, timed out, or degraded
+// mid-program): the phase prefix and clock are real. The sorts' KeySum
+// is added by the caller, and only for a sorted
+// run — a digest of a half-routed key placement would be noise
+// masquerading as a witness.
+func encode(t topo.Topology, rep pipeline.Report) Result {
 	r := Result{
-		Algorithm:  "TrafficRoute",
-		Shape:      shape.String(),
-		N:          shape.N(),
-		Diameter:   shape.Diameter(),
-		Delivered:  delivered,
-		TotalSteps: tot.TotalSteps,
-		RouteSteps: tot.RouteSteps,
-		MaxQueue:   res.MaxQueue,
-		Stranded:   len(res.Stranded),
-		Phases:     tracePhases(tot.Phases),
+		Algorithm:      rep.Algorithm,
+		Shape:          t.String(),
+		N:              t.N(),
+		Diameter:       t.Diameter(),
+		Delivered:      rep.Delivered,
+		Sorted:         rep.Sorted,
+		Bound:          rep.Bound,
+		TotalSteps:     rep.TotalSteps,
+		RouteSteps:     rep.RouteSteps,
+		OracleSteps:    rep.OracleSteps,
+		MaxQueue:       rep.MaxQueue,
+		Stranded:       rep.Stranded,
+		MergeRounds:    rep.MergeRounds,
+		MaxPairDist:    rep.MaxPairDist,
+		FallbackRounds: rep.FallbackRounds,
+		Nu:             rep.Nu,
+		EffectiveNu:    rep.EffectiveNu,
+		Target:         rep.Target,
+		Value:          rep.Value,
+		Candidates:     rep.Candidates,
+		Phases:         make([]PhaseTrace, len(rep.Phases)),
 	}
-	if res.Sojourn.Count > 0 {
-		soj := res.Sojourn
+	if rep.Sojourn.Count > 0 {
+		soj := rep.Sojourn
 		r.Sojourn = &soj
 	}
+	for i, ph := range rep.Phases {
+		r.Phases[i] = TracePhase(ph)
+	}
 	return r
-}
-
-// fromOddEven encodes an odd-even transposition run (alg=oddeven).
-// Each transposition round is one communication step, counted as a
-// routing step; the baseline has no theorem bound, so Bound stays 0.
-func fromOddEven(res baseline.OddEvenResult, tot pipeline.Totals, shape grid.Shape) Result {
-	return Result{
-		Algorithm:  "oddeven",
-		Shape:      shape.String(),
-		N:          shape.N(),
-		Diameter:   shape.Diameter(),
-		Delivered:  res.Sorted,
-		Sorted:     res.Sorted,
-		TotalSteps: res.Rounds,
-		RouteSteps: res.Rounds,
-		Phases:     tracePhases(tot.Phases),
-	}
-}
-
-// fromShear encodes a whole-mesh shearsort run (alg=shear); its shear
-// iterations are reported as merge rounds.
-func fromShear(res baseline.ShearSortResult, shape grid.Shape) Result {
-	return Result{
-		Algorithm:      "shearsort",
-		Shape:          shape.String(),
-		N:              shape.N(),
-		Diameter:       shape.Diameter(),
-		Delivered:      res.Sorted,
-		Sorted:         res.Sorted,
-		TotalSteps:     res.Steps,
-		RouteSteps:     res.Steps,
-		MergeRounds:    res.Iterations,
-		FallbackRounds: res.Fallback,
-		Phases:         tracePhases(res.Phases),
-	}
-}
-
-// fromGreedyRoute encodes a one-phase greedy permutation routing run
-// (alg=greedyroute). Delivered means nothing was stranded; the
-// baseline has no theorem bound, so Bound stays 0.
-func fromGreedyRoute(res engine.RouteResult, tot pipeline.Totals, shape grid.Shape) Result {
-	return Result{
-		Algorithm:  "greedyroute",
-		Shape:      shape.String(),
-		N:          shape.N(),
-		Diameter:   shape.Diameter(),
-		Delivered:  len(res.Stranded) == 0,
-		TotalSteps: res.Steps,
-		RouteSteps: res.Steps,
-		MaxQueue:   res.MaxQueue,
-		Stranded:   len(res.Stranded),
-		Phases:     tracePhases(tot.Phases),
-	}
-}
-
-// fromSelect encodes a selection run.
-func fromSelect(res core.SelectResult, shape grid.Shape) Result {
-	return Result{
-		Algorithm:   res.Algorithm,
-		Shape:       shape.String(),
-		N:           shape.N(),
-		Diameter:    shape.Diameter(),
-		Delivered:   res.Correct,
-		Bound:       shape.Diameter(),
-		TotalSteps:  res.TotalSteps,
-		RouteSteps:  res.RouteSteps,
-		OracleSteps: res.OracleSteps,
-		MaxQueue:    res.MaxQueue,
-		Target:      res.Target,
-		Value:       res.Value,
-		Candidates:  res.Candidates,
-		Phases:      tracePhases(res.Phases),
-	}
 }

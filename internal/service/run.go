@@ -10,7 +10,6 @@ import (
 	"meshsort/internal/perm"
 	"meshsort/internal/pipeline"
 	"meshsort/internal/route"
-	"meshsort/internal/topo"
 	"meshsort/internal/traffic"
 	"meshsort/internal/xmath"
 )
@@ -54,11 +53,25 @@ func Run(ctx context.Context, spec JobSpec, env Env) (Result, error) {
 		Pool: env.Pool, ShardShift: env.ShardShift, Observer: env.Observer, Runner: env.Runner,
 		Faults: faults, Patience: spec.Patience, Paranoid: env.Paranoid, Cancel: ctx.Done(),
 	}
+	// The three route.Run* algorithms return the engine's raw result (for
+	// internal/exp's per-packet lists); their report is the runner's, and
+	// is labelled here with one delivered rule.
+	routed := func(alg string, net *engine.Net, err error) pipeline.Report {
+		rep := env.Runner.Report()
+		rep.Algorithm, rep.Delivered = alg, delivered(net, err)
+		return rep
+	}
+	t := spec.Topo()
 	if spec.Alg == AlgCliqueRoute {
-		c := topo.NewClique(spec.N)
 		prob := perm.RandomRanksK(spec.N, spec.K, xmath.NewRNG(spec.Seed))
-		res, net, err := route.RunTopoProblem(c, prob, batch)
-		return fromCliqueRoute(res, env.Runner.Totals(), c, spec.K, delivered(net, err)), err
+		_, net, err := route.RunTopoProblem(t, prob, batch)
+		// Every clique node links directly to every other, so greedy
+		// direct routing delivers a k-relation in at most k steps (each
+		// directed link carries at most k packets, one per step): the
+		// congested-clique analogue of the mesh theorems' D + o(n).
+		rep := routed("CliqueGreedyRoute", net, err)
+		rep.Bound = spec.K
+		return encode(t, rep), err
 	}
 
 	shape := spec.Shape()
@@ -83,20 +96,24 @@ func Run(ctx context.Context, spec JobSpec, env Env) (Result, error) {
 			AlgFull:      core.FullSort,
 		}[spec.Alg]
 		res, err := sortAlg(cfg, keys())
-		return fromSort(res), err
+		out := encode(t, res.Report)
+		if res.Sorted {
+			out.KeySum = KeySum(res.Final)
+		}
+		return out, err
 
 	case AlgSelect:
-		res, err := core.Select(cfg, keys(), spec.Target)
-		return fromSelect(res, shape), err
+		rep, err := core.Select(cfg, keys(), spec.Target)
+		return encode(t, rep), err
 
 	case AlgOddEven, AlgShear:
 		opts := baseline.RunOpts{ShardShift: env.ShardShift, Pool: env.Pool, Observer: env.Observer, Runner: env.Runner}
+		run := baseline.ShearSort
 		if spec.Alg == AlgOddEven {
-			res, err := baseline.RunOddEven(shape, keys(), opts)
-			return fromOddEven(res, env.Runner.Totals(), shape), err
+			run = baseline.RunOddEven
 		}
-		res, err := baseline.ShearSort(shape, keys(), opts)
-		return fromShear(res, shape), err
+		rep, err := run(shape, keys(), opts)
+		return encode(t, rep), err
 
 	case AlgRoute:
 		cfg := core.RouteConfig{
@@ -104,8 +121,8 @@ func Run(ctx context.Context, spec JobSpec, env Env) (Result, error) {
 			ShardShift: env.ShardShift, Pool: env.Pool, Runner: env.Runner,
 			Observer: env.Observer, FaultOpts: fo,
 		}
-		res, err := core.TwoPhaseRoute(cfg, permProblem(spec))
-		return fromRouteAlg(res, shape), err
+		rep, err := core.TwoPhaseRoute(cfg, permProblem(spec))
+		return encode(t, rep), err
 
 	case AlgGreedyRoute:
 		batch.BlockSide, batch.Seed, batch.CountLoads = spec.B, spec.Seed, env.CountLoads
@@ -116,10 +133,10 @@ func Run(ctx context.Context, spec JobSpec, env Env) (Result, error) {
 		case "greedy":
 			batch.Policy = route.NewGreedy(shape)
 		case "dimorder":
-			batch.Policy = route.NewDimOrder(topo.FromShape(shape))
+			batch.Policy = route.NewDimOrder(t)
 		}
-		res, _, err := route.RunProblem(shape, permProblem(spec), batch)
-		return fromGreedyRoute(res, env.Runner.Totals(), shape), err
+		_, net, err := route.RunProblem(shape, permProblem(spec), batch)
+		return encode(t, routed("greedyroute", net, err)), err
 
 	case AlgTraffic:
 		ld, err := traffic.ParseLoad(spec.Load)
@@ -134,8 +151,10 @@ func Run(ctx context.Context, spec JobSpec, env Env) (Result, error) {
 		// streams, so changing the schedule never reshuffles the load.
 		ld.Seed = spec.Seed
 		sc.Seed = spec.Seed + 1
-		res, net, err := route.RunTimedLoad(topo.FromShape(shape), ld, sc, batch)
-		return fromTraffic(res, env.Runner.Totals(), shape, delivered(net, err)), err
+		// Timed traffic has no theorem bound to record — the sojourn
+		// percentiles are the result — so Bound stays 0.
+		_, net, err := route.RunTimedLoad(t, ld, sc, batch)
+		return encode(t, routed("TrafficRoute", net, err)), err
 	}
 	return Result{}, fmt.Errorf("service: unknown alg %q", spec.Alg)
 }

@@ -26,6 +26,7 @@ import (
 	"meshsort/internal/core"
 	"meshsort/internal/grid"
 	"meshsort/internal/perm"
+	"meshsort/internal/pipeline"
 	"meshsort/internal/xmath"
 )
 
@@ -36,14 +37,13 @@ type (
 	Config = core.Config
 	// CostModel charges the o(n)-term local phases.
 	CostModel = core.CostModel
-	// Result reports a sorting run with per-phase statistics.
+	// Result reports a sorting run: its Report plus the final keys.
 	Result = core.Result
-	// SelectResult reports a selection run.
-	SelectResult = core.SelectResult
+	// Report is the per-phase statistics and totals of any run; selection
+	// and routing return it directly.
+	Report = pipeline.Report
 	// RouteConfig describes a two-phase routing run.
 	RouteConfig = core.RouteConfig
-	// RouteAlgResult reports a two-phase routing run.
-	RouteAlgResult = core.RouteAlgResult
 	// Shape is a d-dimensional mesh or torus.
 	Shape = grid.Shape
 	// Problem is a routing problem (sources and destinations).
@@ -75,13 +75,13 @@ func FullSort(cfg Config, keys []int64) (Result, error) { return core.FullSort(c
 
 // Select delivers the key of the given rank to the center processor in
 // D + o(n) steps (Section 4.3).
-func Select(cfg Config, keys []int64, rank int) (SelectResult, error) {
+func Select(cfg Config, keys []int64, rank int) (Report, error) {
 	return core.Select(cfg, keys, rank)
 }
 
 // TwoPhaseRoute routes a permutation in D + 2*nu + o(n) steps through
 // distance-bounded intermediate blocks (Theorems 5.1-5.3).
-func TwoPhaseRoute(cfg RouteConfig, prob Problem) (RouteAlgResult, error) {
+func TwoPhaseRoute(cfg RouteConfig, prob Problem) (Report, error) {
 	return core.TwoPhaseRoute(cfg, prob)
 }
 
@@ -113,7 +113,7 @@ func RandSimpleSort(cfg Config, keys []int64) (Result, error) {
 
 // RandTwoPhaseRoute is the randomized form of TwoPhaseRoute: random
 // intermediate processors instead of deterministic block spreading.
-func RandTwoPhaseRoute(cfg RouteConfig, prob Problem) (RouteAlgResult, error) {
+func RandTwoPhaseRoute(cfg RouteConfig, prob Problem) (Report, error) {
 	return core.RandTwoPhaseRoute(cfg, prob)
 }
 

@@ -42,7 +42,7 @@ func TestFacadeAllAlgorithms(t *testing.T) {
 	if res, err := meshsort.FullSort(mesh, keys); err != nil || !res.Sorted {
 		t.Errorf("FullSort: %v", err)
 	}
-	if res, err := meshsort.Select(mesh, keys, len(keys)/2); err != nil || !res.Correct {
+	if res, err := meshsort.Select(mesh, keys, len(keys)/2); err != nil || !res.Delivered {
 		t.Errorf("Select: %v", err)
 	}
 }
