@@ -3,7 +3,6 @@ package route
 import (
 	"meshsort/internal/engine"
 	"meshsort/internal/grid"
-	"meshsort/internal/xmath"
 )
 
 // FaultGreedy is the fault-aware variant of Greedy: it routes around
@@ -37,31 +36,25 @@ import (
 // rather than the plain monotone accounting.
 type FaultGreedy struct {
 	shape  grid.Shape
-	pows   []int // pows[i] = side^(dim-1-i): stride of dimension i
+	co     coords
 	faults *engine.FaultPlan
 }
 
 // NewFaultGreedy returns a fault-aware greedy policy for the shape. A
 // nil plan is valid and makes it decide exactly like Greedy.
 func NewFaultGreedy(s grid.Shape, f *engine.FaultPlan) *FaultGreedy {
-	g := &FaultGreedy{shape: s, pows: make([]int, s.Dim), faults: f}
-	p := 1
-	for i := s.Dim - 1; i >= 0; i-- {
-		g.pows[i] = p
-		p *= s.Side
-	}
-	return g
+	return &FaultGreedy{shape: s, co: newCoords(s), faults: f}
 }
 
 // Detours implements engine.DetourPolicy.
 func (g *FaultGreedy) Detours() bool { return true }
 
-// neighbor returns the rank one hop along (dim, dir); the caller
-// guarantees the hop stays on the grid.
-func (g *FaultGreedy) neighbor(rank, dim, dir int) int {
-	pow := g.pows[dim]
+// neighbor returns the rank one hop along (dim, dir) from rank, whose
+// coordinate along dim is c; the caller guarantees the hop stays on the
+// grid.
+func (g *FaultGreedy) neighbor(rank, c, dim, dir int) int {
+	pow := g.co.pows[dim]
 	side := g.shape.Side
-	c := (rank / pow) % side
 	if dir > 0 {
 		if c == side-1 {
 			return rank - (side-1)*pow
@@ -80,7 +73,10 @@ func (g *FaultGreedy) neighbor(rank, dim, dir int) int {
 func (g *FaultGreedy) towards(c, t int) (dirs [2]int, nd int) {
 	side := g.shape.Side
 	if g.shape.Torus {
-		fwd := xmath.Mod(t-c, side)
+		fwd := t - c // c and t lie in [0, side): no modulo needed
+		if fwd < 0 {
+			fwd += side
+		}
 		back := side - fwd
 		switch {
 		case fwd < back:
@@ -104,13 +100,11 @@ func (g *FaultGreedy) open(rank, dst, exceptDim int) bool {
 	if rank == dst {
 		return true
 	}
-	side := g.shape.Side
 	for dim := 0; dim < g.shape.Dim; dim++ {
 		if dim == exceptDim {
 			continue
 		}
-		c := (rank / g.pows[dim]) % side
-		t := (dst / g.pows[dim]) % side
+		c, t := g.co.at(rank, dim), g.co.at(dst, dim)
 		if c == t {
 			continue
 		}
@@ -131,8 +125,7 @@ func (g *FaultGreedy) NextLink(rank, dst, class int) int {
 	firstLive := -1
 	dim := class
 	for i := 0; i < d; i++ {
-		c := (rank / g.pows[dim]) % side
-		t := (dst / g.pows[dim]) % side
+		c, t := g.co.at(rank, dim), g.co.at(dst, dim)
 		if c != t {
 			dirs, nd := g.towards(c, t)
 			for j := 0; j < nd; j++ {
@@ -140,7 +133,7 @@ func (g *FaultGreedy) NextLink(rank, dst, class int) int {
 				if g.faults.PermDown(rank, l) {
 					continue
 				}
-				nb := g.neighbor(rank, dim, dirs[j])
+				nb := g.neighbor(rank, c, dim, dirs[j])
 				if nb == dst {
 					return l
 				}
@@ -164,8 +157,7 @@ func (g *FaultGreedy) NextLink(rank, dst, class int) int {
 	// perpendicular dimension onto a neighbor that is open elsewhere.
 	dim = class
 	for i := 0; i < d; i++ {
-		c := (rank / g.pows[dim]) % side
-		t := (dst / g.pows[dim]) % side
+		c, t := g.co.at(rank, dim), g.co.at(dst, dim)
 		if c == t {
 			dirs := [2]int{1, -1}
 			if !g.shape.Torus && 2*c >= side {
@@ -179,7 +171,7 @@ func (g *FaultGreedy) NextLink(rank, dst, class int) int {
 				if g.faults.PermDown(rank, l) {
 					continue
 				}
-				if g.open(g.neighbor(rank, dim, dir), dst, dim) {
+				if g.open(g.neighbor(rank, c, dim, dir), dst, dim) {
 					return l
 				}
 			}

@@ -6,11 +6,8 @@
 package route
 
 import (
-	"math/bits"
-
 	"meshsort/internal/engine"
 	"meshsort/internal/grid"
-	"meshsort/internal/xmath"
 )
 
 // Greedy is the (extended) greedy routing policy. A packet of class c
@@ -24,36 +21,12 @@ import (
 // spread over [d] it is the extended scheme of Lemmas 2.1-2.3.
 type Greedy struct {
 	shape grid.Shape
-	pows  []int // pows[i] = side^(dim-1-i): stride of dimension i
-	// Power-of-two strength reduction: every benchmark-ladder side is a
-	// power of two, and NextLink runs once per moving packet per step —
-	// hundreds of millions of times in a million-processor phase — so
-	// when side = 2^k the coordinate extraction (rank / pow) % side
-	// becomes (rank >> shift) & mask, replacing two integer divisions
-	// with two single-cycle operations.
-	shifts []uint // shifts[i] = log2(pows[i]); valid only when pow2
-	mask   int    // side - 1; valid only when pow2
-	pow2   bool
+	co    coords
 }
 
 // NewGreedy returns a greedy policy for the given shape.
 func NewGreedy(s grid.Shape) *Greedy {
-	g := &Greedy{shape: s, pows: make([]int, s.Dim)}
-	p := 1
-	for i := s.Dim - 1; i >= 0; i-- {
-		g.pows[i] = p
-		p *= s.Side
-	}
-	if s.Side&(s.Side-1) == 0 {
-		g.pow2 = true
-		g.mask = s.Side - 1
-		logSide := uint(bits.TrailingZeros(uint(s.Side)))
-		g.shifts = make([]uint, s.Dim)
-		for i := range g.shifts {
-			g.shifts[i] = logSide * uint(s.Dim-1-i)
-		}
-	}
-	return g
+	return &Greedy{shape: s, co: newCoords(s)}
 }
 
 // GreedyShape implements engine.MeshGreedy: NextLink is exactly the
@@ -68,20 +41,14 @@ func (g *Greedy) NextLink(rank, dst, class int) int {
 	side := g.shape.Side
 	dim := class
 	for i := 0; i < d; i++ {
-		var c, t int
-		if g.pow2 {
-			sh := g.shifts[dim]
-			c = (rank >> sh) & g.mask
-			t = (dst >> sh) & g.mask
-		} else {
-			pow := g.pows[dim]
-			c = (rank / pow) % side
-			t = (dst / pow) % side
-		}
+		c, t := g.co.at(rank, dim), g.co.at(dst, dim)
 		if c != t {
 			dir := 1
 			if g.shape.Torus {
-				fwd := xmath.Mod(t-c, side)
+				fwd := t - c // c and t lie in [0, side): no modulo needed
+				if fwd < 0 {
+					fwd += side
+				}
 				if fwd > side-fwd {
 					dir = -1
 				}
