@@ -25,17 +25,17 @@ func phaseFingerprint(res Result) string {
 }
 
 // TestLocalPhasesDeterministicAcrossWorkers pins the determinism contract
-// of the parallel local phases and the fused engine step: a full sort run
-// must produce byte-identical final keys and phase statistics at every
-// pool size. Pool size 1 routes through the engine's fused single-worker
-// step, sizes 2 and 7 through the two-phase send/deliver path with block
-// work fanned across the pool by work-stealing — so the test certifies
-// both that the two engine paths are step-equivalent and that no local
-// phase leaks worker-count or visit-order dependence into its output.
-// ShardShift is forced to 6 so the n=8 mesh (N=512) still builds the
-// moving bitmap (shards of 64), which the fused path is gated on. Each
-// configuration runs twice on a warm runner, so the steady-state re-run
-// path is held to the same byte-identical standard as the cold one.
+// of the parallel local phases and the engine step kernel: a full sort
+// run must produce byte-identical final keys and phase statistics at
+// every pool size. Pool size 1 sweeps every rank inline, sizes 2 and 7
+// split the ranks into per-worker ranges with outboxes across the cuts,
+// with block work fanned across the pool by work-stealing — so the test
+// certifies both that the engine is step-equivalent at every worker
+// count and that no local phase leaks worker-count or visit-order
+// dependence into its output. ShardShift is forced to 6 (shards of 64)
+// so the n=8 mesh (N=512) is cut into several ranges. Each configuration
+// runs twice on a warm runner, so the steady-state re-run path is held
+// to the same byte-identical standard as the cold one.
 func TestLocalPhasesDeterministicAcrossWorkers(t *testing.T) {
 	shape := grid.New(3, 8)
 	keys := RandomKeys(shape, 1, 23)
@@ -96,8 +96,8 @@ func TestLocalPhasesDeterministicAcrossWorkers(t *testing.T) {
 // re-run of the same configuration — injection, local sorts, both
 // routing phases, the cleanup loop, the sortedness certificate, and
 // final-key extraction — performs zero heap allocations. Covers both
-// RunBlocks dispatch modes: a 1-worker pool (serial, the fused engine
-// path) and a 2-worker pool (parallel work-stealing dispatch); k = 1 and
+// RunBlocks dispatch modes: a 1-worker pool (serial, the inline engine
+// sweep) and a 2-worker pool (parallel work-stealing dispatch); k = 1 and
 // the k-k load of Corollary 3.1.1 (k = 2). Runs alternate between two
 // key sets, as a benchmark that rotates its inputs does.
 func TestWarmSimpleSortDoesNotAllocate(t *testing.T) {

@@ -15,14 +15,21 @@ import (
 // a full inject-and-route cycle performs zero heap allocations. A future
 // change that reintroduces per-step allocation — a closure in the step
 // loop, a fresh scratch slice per phase, a pointer queue — fails here
-// immediately.
+// immediately. Runs at 1 worker (the inline sweep) and at 2 (split
+// ranges with outboxes).
 func TestWarmRouteDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { warmRouteAllocs(t, workers) })
+	}
+}
+
+func warmRouteAllocs(t *testing.T, workers int) {
 	s := grid.New(3, 8)
 	net := New(s)
-	pool := NewPool(2)
+	pool := NewPool(workers)
 	defer pool.Close()
 	net.Pool = pool
 
@@ -95,8 +102,8 @@ func TestWarmRouteDoesNotAllocateLargeRung(t *testing.T) {
 // mid-run) with sojourn latency accounting enabled. The plan, the
 // histogram accumulator, and the per-worker histograms are all reused
 // across runs, so a warm timed phase must allocate exactly as much as a
-// warm batch phase: nothing. Runs at 1 worker (the fused step) and at 2
-// (the two-phase step).
+// warm batch phase: nothing. Runs at 1 worker (the inline sweep) and at
+// 2 (split ranges with outboxes).
 func TestWarmTimedRouteDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
@@ -152,9 +159,8 @@ func warmTimedRouteAllocs(t *testing.T, workers int) {
 }
 
 // TestWarmRouteDoesNotAllocateSingleWorker covers the single-worker
-// paths (no pool barrier) with the same guard: the 64-processor torus
-// has sub-word shards, so it runs the two-phase step inline; the 512-
-// processor mesh runs the fused step.
+// sweep (no pool barrier) with the same guard on a 64-processor torus,
+// whose shards are smaller than a bitmap word, and a 512-processor mesh.
 func TestWarmRouteDoesNotAllocateSingleWorker(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")

@@ -20,40 +20,70 @@
 // grid.Shape and wraps it; NewNet takes any topology). The step loop
 // needs exactly the interface's link-identity contract: every processor
 // exposes a uniform window of link ids, Neighbor maps a directed link to
-// its receiver and a receiver-side inbox slot unique per directed edge
-// (which is what makes the send phase's plain-store inbox writes safe),
-// and Dist is exact. The mesh keeps its precomputed-stride arithmetic as
-// an inline fast path — the step loop recognizes *topo.Mesh by type and
-// performs no interface calls on the transit path — while other
-// topologies route through the interface; both paths are covered by the
-// zero-allocation guards. CheckTopology enforces the data-plane
-// capacity limits (link ids fit an int16, rank*links fits an int32).
+// its receiver, and Dist is exact. The mesh keeps its precomputed-stride
+// arithmetic as an inline fast path — the kernel recognizes *topo.Mesh
+// once per phase and performs no interface calls on the transit path —
+// while other topologies resolve receivers through the interface; both
+// are covered by the zero-allocation guards. CheckTopology enforces the
+// data-plane capacity limits (link ids fit an int16, rank*links fits an
+// int32).
 //
-// # The two-phase barrier model
+// # The step kernel
 //
-// Each simulated step runs in two phases separated by barriers:
+// Each simulated step is one sweep over the processors holding moving
+// packets, in ascending rank order. At each processor the moving
+// packets request the link the Policy wants for them (the answer is
+// cached in the queue entry — see Policy purity below), each link is
+// granted to the highest-priority requester (farthest-to-go first, ties
+// to the lowest id — the paper's contention rule), and the winners are
+// forwarded in link-id order: appended to their receiver's queue, or
+// filed as held when the hop completes the journey.
 //
-//   - Send: every processor with moving packets asks the Policy for the
-//     link each packet wants (the answer is cached in the queue entry —
-//     see Policy purity below), grants each link to the highest-priority
-//     requester (farthest-to-go first, ties to the lowest id — the
-//     paper's contention rule), and writes each winner into its
-//     *receiver's* inbox slot for the link it traveled. Each (receiver,
-//     link) inbox slot has exactly one possible writer per step — the
-//     unique processor whose link l points at that receiver — so sends
-//     from different shards never collide. The sender also sets the
-//     receiver's bit in a per-worker delivery bitmap.
-//   - Deliver: every processor flagged in the ORed delivery bitmaps
-//     drains its own inbox strip (one slot per incoming link) into its
-//     queue. Only receiver-owned state is written. On a 2-side torus
-//     both directions of a dimension reach the same neighbor; the two
-//     slots model the double edge.
+// A packet moves at most one hop per step. Entries appended during the
+// current step sit above a per-processor eligibility watermark and are
+// excluded from that processor's contest until the next step, so every
+// contest sees exactly the queue the step started with — the
+// synchronous model of the paper, simulated in one pass with no
+// transfer buffer between a send and a deliver phase.
 //
-// Because each phase writes disjoint, single-owner state — and the
-// barrier between phases publishes one phase's plain writes to the
-// next — sharded parallel execution is observationally identical to
-// sequential execution: Route returns bit-identical results and final
-// packet placements for any worker count and any shard size.
+// The rarer modes are decided once per phase and kept off the per-hop
+// path of the same kernel: patience accounting and stranding run as a
+// pass over the moving queues just before the sweep, faults as one
+// grant-time check, non-mesh receivers, detour distances and link-load
+// counting through one general forward, and links numbered 64 and up
+// (only a clique has them) through a second contest table whose winners
+// travel like forwards across a cut (see Range ownership).
+//
+// # Range ownership
+//
+// With more than one worker, the coordinator cuts the ranks before
+// every step into one contiguous range per worker, at multiples of
+// max(64, shard size) ranks, balancing the number of processors with
+// moving packets (counted per shard). Each worker sweeps its own range.
+// A forward whose receiver lies in the same range is applied on the
+// spot; one across a cut is parked in the sender's outbox for the
+// receiver's owner. After the sweep barrier each owner drains the
+// outboxes addressed to it, worker by worker. Every piece of mutable
+// state — a queue, a bitmap word, a shard counter, a packet's
+// accounting record — has exactly one writer per phase of the step, so
+// the bitmaps are plain-access and the pool barrier publishes all
+// writes. When the moving processors all fall in one range, or are too
+// few to pay for the barrier, worker 0 sweeps every rank inline. The
+// worker pool (see Pool) is shared across phases via Net.Pool; without
+// one, Route runs with one worker on the caller's goroutine.
+//
+// # Determinism
+//
+// Route returns the same RouteResult (minus the wall-clock counters),
+// and every step leaves the same multiset of packets at every processor,
+// moving and held, for every worker count and shard size: the contest
+// is a strict total order, so the order of a queue never decides who
+// wins a link. The order inside a queue or held list is fixed for a
+// given worker count (and shard size) but unspecified across worker
+// counts — a receiver gets its parked arrivals (across a cut, or over a
+// clique link numbered 64 and up) after the others. Consumers that need
+// an order impose it (the sorting algorithms order held packets by key
+// and id).
 //
 // Packets in flight are represented by 16-byte pointer-free queue
 // entries (id, destination, remaining distance, class, cached link);
@@ -63,45 +93,27 @@
 // over compact contiguous memory. See DESIGN.md for the measurements
 // behind this layout.
 //
-// # Worker pool and active-shard tracking
+// # Active-set tracking
 //
-// Processors are grouped into contiguous shards, the unit of scheduling.
-// The step loop tracks liveness at two resolutions: per shard, the send
-// phase visits only shards holding moving packets (a count maintained by
-// the shard's owning worker) and the delivery phase visits only shards a
-// sender flagged as receiving this step; per processor, bitmaps refine
-// the scan inside a live shard — a moving-queue bitmap steers the send
-// phase straight to non-empty queues, and the per-worker delivery
-// bitmaps steer the deliver phase straight to flagged receivers. Late in
-// a phase, when most of the n^d processors are idle, a step touches only
-// the few processors where packets remain instead of scanning the whole
-// network. The bitmaps are written with plain stores (the inter-phase
-// barrier publishes them); the one cross-shard clear uses a masked
-// atomic only when a 64-bit word straddles a shard boundary.
-//
-// Shard work executes on a Pool of persistent workers synchronized by a
-// sense-reversing atomic barrier (an epoch counter publishes work, an
-// atomic countdown reports completion; waiters spin briefly and then
-// park on per-worker wake channels — see Pool). The Route caller
-// participates as worker 0, and work-stealing over the live-shard list
-// balances uneven shards. Shards shrink automatically when the network
-// is small or the worker count high, so a skewed active set — every
-// moving packet clustered in one region of a large mesh — still splits
-// across the pool instead of serializing on one worker
-// (Net.ShardShift overrides the sizing). A pool can (and should) be
-// shared across all phases of a multi-phase algorithm via Net.Pool;
-// without one, Route runs with one worker on the caller's goroutine.
-// With one worker — or one live shard — the step loop runs entirely
-// inline with no goroutines or atomic barrier crossings.
+// The kernel tracks liveness at two resolutions: per shard (a
+// contiguous block of ranks; Net.ShardShift overrides the automatic
+// sizing), the count of processors with moving packets, which the sweep
+// uses to skip idle shards and the coordinator uses to cut the ranges;
+// per processor, a moving-queue bitmap that steers the sweep straight to
+// non-empty queues. Late in a phase, when most of the n^d processors
+// are idle, a step touches only the few processors where packets
+// remain instead of scanning the whole network.
 //
 // # Exact vs. sampled statistics
 //
 // All statistics on RouteResult are exact, not sampled: Steps,
 // Delivered, Hops, MaxDist and the overshoot aggregates are maintained
-// per event. MaxQueue is exact too, but subtly so: per-processor
-// occupancy only grows at activation or on receiving, so sampling every
-// processor once at activation and every receiver after its pulls
-// captures the true high-water mark. Link-load counters (SetCountLoads)
+// per event. MaxQueue is exact too, but subtly so: occupancy is
+// sampled at activation and at every processor once its own departures
+// for the step are done — at the end of its sweep visit, when a packet
+// lands on it after that (or when it had nothing to send), and after
+// the drain for a parked arrival — and from then on its queue only
+// grows, so the samples capture the true high-water mark. Link-load counters (SetCountLoads)
 // are exact per traversal but cover only the phases routed while
 // counting was enabled. The wall-clock throughput counters (Elapsed,
 // WorkerBusy, and the derived StepsPerSec/WorkerUtilization) measure the
@@ -110,12 +122,13 @@
 //
 // # Policy purity
 //
-// Policies are called concurrently from shard workers and may be called
+// Policies are called concurrently from the workers and may be called
 // any number of times per packet per step, so NextLink must be a pure
 // function of (rank, dst, class) with no side effects and no dependence
 // on call order. Purity is also what lets the engine cache NextLink's
 // answer in the queue entry and re-ask only when the packet moves: a
-// stalled packet's cached link is, by purity, still the link it wants. It must also be monotone — every requested move reduces
+// stalled packet's cached link is, by purity, still the link it wants.
+// It must also be monotone — every requested move reduces
 // the packet's distance to its destination — unless it implements
 // DetourPolicy, which switches the engine to recomputing distances after
 // every hop. It must never route off a mesh boundary. The engine checks
@@ -169,11 +182,10 @@
 //
 // # Allocation
 //
-// A warm route (Reset and re-route on a network whose arena, queues and
-// step scratch an earlier run already grew) allocates nothing on its
-// transit path, at any worker count, on the fused and the two-phase
-// step, with or without timed arrivals; the DoesNotAllocate tests guard
-// this. It allocates only on the stranding and degraded paths: each
+// A warm route (Reset and re-route on a network whose arena, queues,
+// outboxes and step scratch an earlier run already grew) allocates
+// nothing on its transit path, at any worker count, inline or split,
+// with or without timed arrivals; the DoesNotAllocate tests guard this. It allocates only on the stranding and degraded paths: each
 // stranded or stuck packet gets a PacketDiag with its own Wants and
 // Blocked slices, and RouteResult.Stranded or Stuck grows to hold it.
 package engine

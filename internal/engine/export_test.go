@@ -12,14 +12,13 @@ func (n *Net) Snapshot() map[int]int {
 	out := make(map[int]int, n.nextID)
 	for r := range n.procs {
 		for _, e := range n.procs[r].moving {
-			out[n.pkt(e.id).ID] = r
+			out[n.Packet(e.id).ID] = r
 		}
 		for _, id := range n.procs[r].held {
-			out[n.pkt(id).ID] = r
+			out[n.Packet(id).ID] = r
 		}
-		// Packets sitting in outgoing slots between phases do not exist:
-		// Route always completes the delivery phase before returning or
-		// invoking OnStep, so out slots are empty here.
+		// No packet is in transit here: Route drains every outbox before
+		// returning or invoking OnStep.
 	}
 	return out
 }

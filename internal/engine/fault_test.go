@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -280,49 +279,48 @@ func TestTwoSideTorusFaultedDoubleEdge(t *testing.T) {
 // TestFaultDeterminismAcrossWorkers: under a seeded fault plan the full
 // RouteResult — including the Stranded list and its order — and the
 // final placement must be identical for every worker count, on meshes
-// and tori. Run under -race to also exercise the memory model.
+// and tori. A 2-relation's held lists are compared sorted, since their
+// order is fixed only for a given worker count. Run under -race to also
+// exercise the memory model.
 func TestFaultDeterminismAcrossWorkers(t *testing.T) {
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
+	workerCounts := []int{1, 2, 3, runtime.GOMAXPROCS(0)}
 	for _, s := range []grid.Shape{grid.New(3, 6), grid.NewTorus(3, 6)} {
 		f := RandomFaultPlan(s, 0.05, 7)
-		run := func(workers int) (RouteResult, string) {
-			net := New(s)
-			net.Pool = testPool(t, workers)
-			rng := xmath.NewRNG(99)
-			dsts := rng.Perm(s.N())
-			pkts := make([]*Packet, s.N())
-			for i := range pkts {
-				pkts[i] = net.NewPacket(int64(i), i)
-				pkts[i].Dst = dsts[i]
-				pkts[i].Class = i % s.Dim
-			}
-			net.Inject(pkts)
-			res, err := net.Route(greedyTestPolicy{s}, RouteOpts{Faults: f, Paranoid: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var fp strings.Builder
-			for r := 0; r < s.N(); r++ {
-				fmt.Fprintf(&fp, "%d:", r)
-				for _, id := range net.Held(r) {
-					fmt.Fprintf(&fp, " %d", net.Packet(id).ID)
+		for _, k := range []int{1, 2} {
+			run := func(workers int) (RouteResult, string) {
+				net := New(s)
+				net.Pool = testPool(t, workers)
+				rng := xmath.NewRNG(99)
+				var pkts []*Packet
+				for j := 0; j < k; j++ {
+					dsts := rng.Perm(s.N())
+					for i := 0; i < s.N(); i++ {
+						p := net.NewPacket(int64(len(pkts)), i)
+						p.Dst = dsts[i]
+						p.Class = (i + j) % s.Dim
+						pkts = append(pkts, p)
+					}
 				}
-				fp.WriteByte('\n')
+				net.Inject(pkts)
+				res, err := net.Route(greedyTestPolicy{s}, RouteOpts{Faults: f, Paranoid: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return normalizeResult(res), heldFingerprint(net, k > 1)
 			}
-			return normalizeResult(res), fp.String()
-		}
-		baseRes, baseFP := run(workerCounts[0])
-		if len(baseRes.Stranded) == 0 {
-			t.Errorf("%v: fault plan stranded nothing; the determinism test needs strands", s)
-		}
-		for _, w := range workerCounts[1:] {
-			res, fp := run(w)
-			if !reflect.DeepEqual(res, baseRes) {
-				t.Errorf("%v: RouteResult differs between %d and %d workers:\n%+v\n%+v",
-					s, workerCounts[0], w, baseRes, res)
+			baseRes, baseFP := run(workerCounts[0])
+			if len(baseRes.Stranded) == 0 {
+				t.Errorf("%v k=%d: fault plan stranded nothing; the determinism test needs strands", s, k)
 			}
-			if fp != baseFP {
-				t.Errorf("%v: final placement differs between %d and %d workers", s, workerCounts[0], w)
+			for _, w := range workerCounts[1:] {
+				res, fp := run(w)
+				if !reflect.DeepEqual(res, baseRes) {
+					t.Errorf("%v k=%d: RouteResult differs between %d and %d workers:\n%+v\n%+v",
+						s, k, workerCounts[0], w, baseRes, res)
+				}
+				if fp != baseFP {
+					t.Errorf("%v k=%d: final placement differs between %d and %d workers", s, k, workerCounts[0], w)
+				}
 			}
 		}
 	}

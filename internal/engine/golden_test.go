@@ -239,3 +239,58 @@ func TestStepFingerprintsGolden(t *testing.T) {
 		}
 	}
 }
+
+// FuzzRouteWorkersAgree draws small routing inputs — mesh, torus or
+// clique; greedy, dimension-order or fault-aware policy; permanent
+// faults, outages, dead processors, patience, timed arrivals, load
+// counting, a k-relation and a shard shift — and requires the runs at 2
+// and 3 workers to record the same per-step placement multisets and the
+// same normalized outcome as the run at 1 worker.
+func FuzzRouteWorkersAgree(f *testing.F) {
+	f.Add(uint64(1), byte(0), byte(12), byte(0), byte(0), byte(0))
+	f.Add(uint64(2), byte(3), byte(5), byte(2), byte(0x8f), byte(2))
+	f.Add(uint64(3), byte(4), byte(120), byte(0), byte(0xc3), byte(1))
+	f.Add(uint64(4), byte(1), byte(140), byte(1), byte(0x40), byte(3))
+	f.Add(uint64(5), byte(2), byte(200), byte(2), byte(0x6d), byte(0))
+	f.Fuzz(func(t *testing.T, seed uint64, kind, size, pol, flags, shift byte) {
+		c := routeCase{name: "fuzz", k: 1 + int(size>>7), seed: seed}
+		switch kind % 5 {
+		case 0:
+			c.tp = topo.FromShape(grid.New(2, 4+int(size)%13))
+		case 1:
+			c.tp = topo.FromShape(grid.NewTorus(2, 4+int(size)%13))
+		case 2:
+			c.tp = topo.FromShape(grid.New(3, 3+int(size)%6))
+		case 3:
+			c.tp = topo.FromShape(grid.NewTorus(3, 3+int(size)%6))
+		default:
+			c.tp = topo.NewClique(3 + int(size)%140)
+		}
+		if _, mesh := topo.MeshShape(c.tp); mesh {
+			c.pol = []policyKind{polGreedy, polDimOrder, polFaultGreedy}[pol%3]
+		} else {
+			c.pol = polClique
+		}
+		if flags&1 != 0 {
+			c.faults = 0.05
+		}
+		if flags&2 != 0 {
+			c.outages = 8
+		}
+		if flags&4 != 0 {
+			c.dead = 1
+		}
+		if flags&8 != 0 {
+			c.patience = 2 + int(flags>>4)%6
+		}
+		c.timed = flags&0x40 != 0
+		c.loads = flags&0x80 != 0
+		sh := []int{0, 4, 6, 7}[shift%4]
+		want := formatRun(c.name, c.run(t, 1, sh))
+		for _, w := range []int{2, 3} {
+			if got := formatRun(c.name, c.run(t, w, sh)); got != want {
+				t.Fatalf("%v workers=%d shift=%d disagrees with 1 worker:\ngot:\n%s\nwant:\n%s", c.tp, w, sh, got, want)
+			}
+		}
+	})
+}

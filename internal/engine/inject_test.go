@@ -93,7 +93,7 @@ func TestTimedInjectionDeliversAll(t *testing.T) {
 // guarantee for mid-run activation: the simulated outcome (steps,
 // deliveries, overshoot, queue marks, sojourn percentiles, and the final
 // placement of every packet) must be bit-identical at any worker count,
-// including the single-worker fused path.
+// including the single-worker inline sweep.
 func TestTimedInjectionDeterministicAcrossWorkers(t *testing.T) {
 	s := grid.New(3, 6)
 	base, snapBase, histBase := routeTimed(t, s, 1, 400, 6, 99)

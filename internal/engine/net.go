@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -24,12 +23,12 @@ import (
 // The packet is presented as its routing-relevant state — the current
 // destination rank and the dimension-order class — rather than as a
 // *Packet: the step loop keeps that state in struct-of-arrays slabs
-// (see Net) so the send phase never drags the cold Packet record through
+// (see Net) so the kernel never drags the cold Packet record through
 // the cache, and the narrow signature keeps policies honest about what
 // they may depend on.
 //
 // Policies must be pure functions of (rank, dst, class): they are called
-// concurrently from shard workers, possibly several times per packet per
+// concurrently from the workers, possibly several times per packet per
 // step, so they may cache nothing and must touch no shared state. They
 // must also be monotone: every move they request must reduce the
 // packet's distance to its destination by one (all dimension-order
@@ -89,25 +88,17 @@ func LinkDir(link int) int {
 	return -1
 }
 
-// noPacket is the empty out-slot sentinel. Queue and slot entries are
-// int32 arena indices (== packet ids), never pointers: the hot path
-// moves 4-byte integers through contiguous memory and the garbage
-// collector sees no pointers to trace.
+// noPacket is the empty contest-slot and consumed-entry sentinel. Queue
+// and slot entries are int32 arena indices (== packet ids), never
+// pointers: the hot path moves 4-byte integers through contiguous memory
+// and the garbage collector sees no pointers to trace.
 const noPacket int32 = -1
 
-// pktDone is OR-ed into an inbox entry's id when the sender's
-// bookkeeping already determined the hop completes the packet's journey
-// (togo hits zero). The delivery phase then files the packet as held
-// without touching any per-packet state — on the transit path delivery
-// is a purely streaming scan. Reserving bit 30 caps the arena at
-// MaxPackets ids (over a billion packets; a load that size exhausts
-// memory long before it exhausts id space).
-const pktDone int32 = 1 << 30
-
 // MaxPackets is the number of packet ids a network can hand out between
-// Resets: ids are int32 arena indices with bit 30 reserved for in-flight
-// delivery flagging. pipeline.InjectKeys rejects larger loads up front;
-// NewPacket panics past the bound.
+// Resets: ids are int32 arena indices, capped well inside int32 range
+// (over a billion packets; a load that size exhausts memory long before
+// it exhausts id space). pipeline.InjectKeys rejects larger loads up
+// front; NewPacket panics past the bound.
 const MaxPackets = 1 << 30
 
 // Packet arena chunking: packets live in fixed-size slabs so that the
@@ -119,13 +110,13 @@ const (
 	pktChunkMask  = pktChunkSize - 1
 )
 
-// pktRef is a moving-queue (and inbox) entry: the packet's id together
+// pktRef is a moving-queue (and outbox) entry: the packet's id together
 // with the routing fields the step loop needs on every step. Carrying
 // the hot fields inside the queue entry — instead of in a slab indexed
 // by packet id — is what keeps the million-processor step loop off the
-// memory wall: queue entries are read and rebuilt sequentially, inbox
-// strips are scanned sequentially, so the send and delivery phases
-// stream through memory where an id-indexed lookup would take one cache
+// memory wall: queue entries are read and rebuilt sequentially and a
+// forward copies the whole entry onto its receiver, so the kernel
+// streams through memory where an id-indexed lookup would take one cache
 // miss per packet per step (measured at ~40% of the whole n=128 rung).
 // The struct is 16 bytes and pointer-free.
 //
@@ -138,7 +129,7 @@ const (
 // Freshly activated entries carry linkUnknown and are resolved on their
 // first request.
 type pktRef struct {
-	id    int32 // arena index; noPacket marks an empty/consumed entry; inbox ids carry pktDone
+	id    int32 // arena index; noPacket marks a consumed entry
 	dst   int32 // destination rank
 	togo  int32 // remaining distance to dst
 	class int16 // dimension-order class (< dim, so int16 is ample)
@@ -167,22 +158,19 @@ type proc struct {
 	moving []pktRef // packets in transit through this processor, hot fields inline
 	held   []int32  // arena indices of packets at rest here
 
-	// fresh is the fused-path eligibility watermark: when its high half
+	// fresh is the kernel's eligibility watermark: when its high half
 	// equals the current clock, the queue suffix moving[fresh&0xffffffff:]
 	// arrived during the current step and must not move again until the
 	// next one. A stale stamp means the whole queue is eligible, so the
 	// watermark never needs an end-of-step reset — phase activation
 	// zeroes it only because the clock restarts between problems. It
-	// sits between the queue headers so the fused path's receiver access
-	// touches a single cache line. See stepState.fusedStep.
+	// sits between the queue headers so the kernel's receiver access
+	// touches a single cache line. See stepState.sweep.
 	fresh uint64
 
-	// The struct is padded to exactly one cache line: the step loops
-	// touch one random proc per hop (the receiver), and a 64-byte stride
-	// keeps that touch to a single line. The out-slot contest scratch
-	// deliberately lives outside the struct (Net.outs, windowed by rank)
-	// — only the two-phase send path uses it, and carrying its slice
-	// header here would push the struct over the line.
+	// The struct is padded to exactly one cache line: the kernel touches
+	// one random proc per hop (the receiver), and a 64-byte stride keeps
+	// that touch to a single line.
 	_ [64 - 2*unsafe.Sizeof([]int{}) - 8]byte
 }
 
@@ -209,8 +197,8 @@ const (
 // reaches zero heap allocations per step: after a warm-up run every
 // buffer the step loop touches already exists.
 //
-// Hot packet state (dst, class, togo) rides inside the moving-queue and
-// inbox entries themselves (see pktRef), so the step loop streams
+// Hot packet state (dst, class, togo) rides inside the moving-queue
+// entries themselves (see pktRef), so the step loop streams
 // through memory; only the accounting record (patience counters,
 // activation stamps — Net.aux, indexed by packet id) is looked up out
 // of line, and only on strand and delivery-completion paths. The cold
@@ -229,24 +217,11 @@ type Net struct {
 	// see that, and topology-generic code must use Topo.
 	Shape grid.Shape
 
-	// links is Topo.Links(): the per-processor out-slot and inbox window
-	// width (2d on meshes).
+	// links is Topo.Links(): the per-processor link-id window width (2d
+	// on meshes).
 	links int
 
-	procs []proc
-	// outs is the backing slab behind every proc's out window
-	// (outs[r*2d : (r+1)*2d]): send-phase contest scratch, owned by the
-	// sending processor and cleared before the send phase ends.
-	outs []int32
-	// inbox is the receiver-indexed transfer slab: the send phase copies
-	// each granted packet's full queue entry into inbox[recv*2d+slot]
-	// (slot = the sender's link id, which uniquely identifies the sender
-	// from the receiver's side — on a 2-side torus the double edge uses
-	// the two distinct slots). The delivery phase then drains one
-	// contiguous strip per receiver and appends the entries straight onto
-	// its moving queue — no per-packet state lookup on the transit path.
-	// Writers never collide: (recv, slot) is unique per directed edge.
-	inbox  []pktRef
+	procs  []proc
 	chunks [][]Packet // packet arena: chunk i holds ids [i<<pktChunkShift, (i+1)<<pktChunkShift)
 	clock  int
 	nextID int
@@ -283,8 +258,9 @@ type Net struct {
 // grid.Shape.Validate — a hand-built degenerate literal would silently
 // mis-stride every coordinate computation) and fits the engine's int32
 // arena indexing: processor ranks are stored in int32 packet-state slabs
-// and the out-slot backing slab carves N*2d windows, so both N and N*2d
-// must stay within int32 range. New and Reset enforce this with a panic
+// and the per-link tables (link-load counters, fault-plan bitsets) are
+// indexed rank*2d + link, so both N and N*2d must stay within int32
+// range. New and Reset enforce this with a panic
 // (mirroring grid.New's overflow rejection); callers that take shapes
 // from external input — the service layer, command-line tools — should
 // call CheckCapacity first and surface the error.
@@ -295,14 +271,14 @@ func CheckCapacity(s grid.Shape) error {
 	n := int64(s.N())
 	slots := n * int64(2*s.Dim)
 	if n > math.MaxInt32 || slots > math.MaxInt32 {
-		return fmt.Errorf("engine: shape %v exceeds int32 arena capacity (N=%d, out slots=%d, limit %d)",
+		return fmt.Errorf("engine: shape %v exceeds int32 arena capacity (N=%d, link slots=%d, limit %d)",
 			s, n, slots, math.MaxInt32)
 	}
 	return nil
 }
 
 // CheckTopology is CheckCapacity for arbitrary topologies: N and the
-// N*Links slot slab must fit int32 indexing, and the link-id window must
+// N*Links per-link tables must fit int32 indexing, and the link-id window must
 // fit the int16 cached-link field of the queue entries (pktRef.link,
 // with -1 and linkUnknown reserved) — a clique is therefore bounded at
 // 32768 nodes.
@@ -317,7 +293,7 @@ func CheckTopology(t topo.Topology) error {
 			t, links, math.MaxInt16)
 	}
 	if n > math.MaxInt32 || n*links > math.MaxInt32 {
-		return fmt.Errorf("engine: topology %v exceeds int32 arena capacity (N=%d, out slots=%d, limit %d)",
+		return fmt.Errorf("engine: topology %v exceeds int32 arena capacity (N=%d, link slots=%d, limit %d)",
 			t, n, n*links, math.MaxInt32)
 	}
 	return nil
@@ -347,12 +323,10 @@ func NewNet(t topo.Topology) *Net {
 	return n
 }
 
-// buildProcs (re)creates the per-processor queues and the shared
-// out-slot backing array for the current topology. The backing array is
-// one slab of N*links slots carved into per-processor windows, so it is
-// only valid for the exact (N, links) it was built for — see ResetTopo.
+// buildProcs (re)creates the per-processor queues for the current
+// topology.
 func (n *Net) buildProcs() {
-	N, links := n.Topo.N(), n.links
+	N := n.Topo.N()
 	n.procs = make([]proc, N)
 	if N <= queueSlabMaxProcs {
 		// Carve every processor's initial moving-queue and held-list
@@ -373,15 +347,6 @@ func (n *Net) buildProcs() {
 			n.procs[i].held = heldSlab[i*heldSlabCap : i*heldSlabCap : (i+1)*heldSlabCap]
 		}
 	}
-	backing := make([]int32, N*links)
-	for i := range backing {
-		backing[i] = noPacket
-	}
-	n.outs = backing
-	n.inbox = make([]pktRef, N*links)
-	for i := range n.inbox {
-		n.inbox[i].id = noPacket
-	}
 }
 
 // N returns the number of processors.
@@ -395,10 +360,9 @@ func (n *Net) Links() int { return n.links }
 // their chunks (ids restart at 0 and overwrite in place), and
 // per-processor queues keep their learned capacities. When the new shape
 // changes the processor count or the links-per-processor, the
-// per-processor queues and the out-slot backing slab are rebuilt from
-// scratch — the slab is sized and windowed by (N, 2d), so reusing it
-// across such a change would alias the out slots of different
-// processors. (Since N = side^dim, an unchanged (N, dim) pair pins the
+// per-processor queues and the step scratch are rebuilt from scratch —
+// the scratch caches the shard layout, the stride tables and the
+// link-window-sized contest tables. (Since N = side^dim, an unchanged (N, dim) pair pins the
 // side length too, so no geometry survives the guard unnoticed; the
 // torus flag may flip freely — no torus-dependent state is cached.)
 //
@@ -425,8 +389,8 @@ func (n *Net) Reset(s grid.Shape) {
 
 // ResetTopo is Reset for an arbitrary topology. Storage survives exactly
 // when the geometries match (topo.SameGeometry: same layout contract,
-// same stride tables); otherwise the per-processor queues, slot slabs,
-// and step scratch are rebuilt. It panics if the topology exceeds the
+// same stride tables); otherwise the per-processor queues and the step
+// scratch are rebuilt. It panics if the topology exceeds the
 // engine's capacity (see CheckTopology).
 func (n *Net) ResetTopo(t topo.Topology) {
 	if err := CheckTopology(t); err != nil {
@@ -444,15 +408,6 @@ func (n *Net) ResetTopo(t topo.Topology) {
 			pr.moving = pr.moving[:0]
 			pr.held = pr.held[:0]
 		}
-		for i := range n.outs {
-			n.outs[i] = noPacket
-		}
-		// The inbox can hold entries only if the previous phase died to a
-		// policy panic mid-step; clear it so the poisoned state cannot
-		// leak into the fresh problem.
-		for i := range n.inbox {
-			n.inbox[i].id = noPacket
-		}
 	}
 	if s, ok := topo.MeshShape(t); ok {
 		n.Shape = s
@@ -464,7 +419,7 @@ func (n *Net) ResetTopo(t topo.Topology) {
 	n.MaxQueue = 0
 	n.loads = nil
 	if n.scratch != nil {
-		n.scratch.markDirty()
+		n.scratch.dirty = true // the truncated queues invalidate the step bookkeeping
 	}
 }
 
@@ -567,9 +522,8 @@ func growSlab(s []int32) []int32 {
 // index equals its ID; Packet converts back. The packet is not placed in
 // the network; use Inject or SetHeld.
 //
-// Packet ids are int32 arena indices with bit 30 reserved for the
-// in-flight delivery flag (pktDone); NewPacket panics if a problem
-// creates maxPackets or more packets (pipeline.InjectKeys rejects such
+// Packet ids are int32 arena indices; NewPacket panics if a problem
+// creates MaxPackets or more packets (pipeline.InjectKeys rejects such
 // loads with an error before any packet is built).
 func (n *Net) NewPacket(key int64, src int) *Packet {
 	id := n.nextID
@@ -593,13 +547,6 @@ func (n *Net) NewPacket(key int64, src int) *Packet {
 // by NewPacket and stored in the Held queues). The pointer is stable
 // until Reset.
 func (n *Net) Packet(id int32) *Packet {
-	return &n.chunks[id>>pktChunkShift][id&pktChunkMask]
-}
-
-// pkt is the internal hot-path accessor (identical to Packet; kept
-// separate so the exported name can afford documentation and the hot
-// loops read tersely).
-func (n *Net) pkt(id int32) *Packet {
 	return &n.chunks[id>>pktChunkShift][id&pktChunkMask]
 }
 
@@ -640,7 +587,7 @@ func (n *Net) TotalPackets() int {
 func (n *Net) ForEachHeld(fn func(rank int, p *Packet)) {
 	for r := range n.procs {
 		for _, id := range n.procs[r].held {
-			fn(r, n.pkt(id))
+			fn(r, n.Packet(id))
 		}
 	}
 }
@@ -706,14 +653,14 @@ type RouteOpts struct {
 	// 64*D + 1024, far beyond any correct phase of the implemented
 	// algorithms.
 	MaxSteps int
-	// OnStep, if set, is called after every completed step (both
-	// barriers passed) with the number of steps taken so far in this
+	// OnStep, if set, is called after every completed step (sweep and
+	// drain done) with the number of steps taken so far in this
 	// phase. It runs on the caller's goroutine with the network
 	// quiescent, so it may inspect state (e.g. Snapshot) but must not
 	// modify it.
 	OnStep func(step int)
 	// Faults, if non-nil, injects the plan's failures into the phase: the
-	// send phase consults the plan at grant time, and a packet whose
+	// kernel consults the plan at grant time, and a packet whose
 	// granted link is down simply does not move that step. The plan is
 	// read-only during the phase, so fault injection preserves the
 	// cross-worker determinism guarantee.
@@ -813,7 +760,7 @@ type RouteResult struct {
 	// vary run to run and are excluded from determinism guarantees).
 	Workers    int           // worker count the phase ran with
 	Elapsed    time.Duration // wall-clock duration of the step loop
-	WorkerBusy time.Duration // shard-work time summed over all workers
+	WorkerBusy time.Duration // kernel-work time summed over all workers
 }
 
 // AvgOvershoot returns the mean overshoot per delivered packet.
@@ -843,7 +790,7 @@ func (r RouteResult) PacketsPerStep() float64 {
 }
 
 // WorkerUtilization returns the fraction of the phase's worker-seconds
-// spent executing shard work: WorkerBusy / (Workers * Elapsed). Low
+// spent executing kernel work: WorkerBusy / (Workers * Elapsed). Low
 // values mean the phase was dominated by idle workers or barrier
 // overhead rather than packet movement.
 func (r RouteResult) WorkerUtilization() float64 {
@@ -877,11 +824,12 @@ func (r RouteResult) Throughput() Throughput {
 // statistics.
 //
 // The step loop allocates nothing in steady state: the per-phase scratch
-// (shard lists, per-worker statistic slots) is cached on the network and
-// reused across phases and Resets, queues keep their learned capacities,
-// and all packet references are arena indices. Heap allocations occur
-// only on the first phase of a network's life (or after a shape-changing
-// Reset, or when the worker count changes) and on degradation paths
+// (bitmaps, per-worker statistic slots and outboxes) is cached on the
+// network and reused across phases and Resets, queues keep their learned
+// capacities, and all packet references are arena indices. Heap
+// allocations occur only on the first phase of a network's life (or
+// after a shape-changing Reset, or when the worker count changes), while
+// queues and outboxes grow to a phase's peak, and on degradation paths
 // (stranding diagnostics, abort snapshots).
 //
 // Route never panics on policy misbehavior: boundary violations,
@@ -940,7 +888,7 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 	totalTogo := int64(0) // remaining distance over all active packets
 	for r := range n.procs {
 		pr := &n.procs[r]
-		// The fused path's eligibility stamps compare against the clock,
+		// The kernel's eligibility stamps compare against the clock,
 		// which restarts between problems — wipe them so a stale stamp
 		// cannot alias a future step of a fresh clock.
 		pr.fresh = 0
@@ -960,29 +908,15 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 		}
 		kept := pr.held[:0]
 		for _, id := range pr.held {
-			p := n.pkt(id)
+			p := n.Packet(id)
 			if p.Dst == r {
 				kept = append(kept, id)
 				continue
 			}
-			// Build the queue entry from the (algorithm-owned) Packet
-			// record and arm the per-phase accounting state.
-			togo := int32(st.dist(r, p.Dst))
-			ab := int(id) * auxStride
-			arec := n.aux[ab : ab+auxStride]
-			arec[auxBest] = togo
-			arec[auxStall] = 0
-			arec[auxBorn] = int32(n.clock)
-			arec[auxBornD] = togo
-			p.stranded = false
-			totalTogo += int64(togo)
-			if int(togo) > res.MaxDist {
-				res.MaxDist = int(togo)
-			}
-			pr.moving = append(pr.moving, pktRef{
-				id: id, dst: int32(p.Dst), class: int16(p.Class), togo: togo,
-				link: linkUnknown,
-			})
+			e := st.arm(r, p)
+			totalTogo += int64(e.togo)
+			res.MaxDist = max(res.MaxDist, int(e.togo))
+			pr.moving = append(pr.moving, e)
 			active++
 		}
 		pr.held = kept
@@ -991,9 +925,7 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 			// Between phases every moving queue is empty, so this is the
 			// empty -> non-empty transition for the processor.
 			st.movingProcs[r>>st.shardShift]++
-			if st.movingBits != nil {
-				st.movingBits[r>>6] |= 1 << (uint(r) & 63)
-			}
+			st.movingBits[r>>6] |= 1 << (uint(r) & 63)
 		}
 		// Occupancy high-water mark: a processor can be fullest at
 		// activation and only drain afterwards, so sample before the
@@ -1025,20 +957,13 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 	}
 	st.attach(pool)
 	res.Workers = pool.Workers()
-	// With a single worker the two-phase send/deliver split buys nothing
-	// (there is nobody to overlap with) and costs an inbox round-trip per
-	// hop; route the plain mesh case through the fused step path instead.
-	// Exotic modes (stranding, faults, detours, load counting) and
-	// sub-word shards keep the two-phase path, whose code handles them.
-	st.fused = st.workers == 1 && st.patience == 0 && st.faults == nil &&
-		!st.detour && st.mesh && st.movingBits != nil && n.loads == nil
 
 	// Latency accounting: per-worker histograms, lazily sized to the pool
 	// and reused across phases, merged into the caller's accumulator on
 	// every return path (finishSojourn).
 	st.soj = opts.Sojourn != nil
-	if st.soj && len(st.sojourn) != st.workers {
-		st.sojourn = make([]stats.Hist, st.workers)
+	if st.soj && len(st.sojourn) != len(st.ws) {
+		st.sojourn = make([]stats.Hist, len(st.ws))
 	}
 
 	var bestTotal int64
@@ -1052,7 +977,7 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 		for arr.cursor < len(arr.Clocks) && int(arr.Clocks[arr.cursor]) <= n.clock {
 			id := arr.IDs[arr.cursor]
 			arr.cursor++
-			p := n.pkt(id)
+			p := n.Packet(id)
 			r := p.Src
 			pr := &n.procs[r]
 			totalPackets++
@@ -1065,28 +990,14 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 				}
 				continue
 			}
-			togo := int32(st.dist(r, p.Dst))
-			ab := int(id) * auxStride
-			arec := n.aux[ab : ab+auxStride]
-			arec[auxBest] = togo
-			arec[auxStall] = 0
-			arec[auxBorn] = int32(n.clock)
-			arec[auxBornD] = togo
-			p.stranded = false
-			totalTogo += int64(togo)
-			if int(togo) > res.MaxDist {
-				res.MaxDist = int(togo)
-			}
+			e := st.arm(r, p)
+			totalTogo += int64(e.togo)
+			res.MaxDist = max(res.MaxDist, int(e.togo))
 			if len(pr.moving) == 0 {
 				st.movingProcs[r>>st.shardShift]++
-				if st.movingBits != nil {
-					st.movingBits[r>>6] |= 1 << (uint(r) & 63)
-				}
+				st.movingBits[r>>6] |= 1 << (uint(r) & 63)
 			}
-			pr.moving = append(pr.moving, pktRef{
-				id: id, dst: int32(p.Dst), class: int16(p.Class), togo: togo,
-				link: linkUnknown,
-			})
+			pr.moving = append(pr.moving, e)
 			active++
 			due++
 			if q := len(pr.moving) + len(pr.held); q > res.MaxQueue {
@@ -1115,6 +1026,14 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 		return res, nil
 	}
 
+	// undelivered counts the packets still in flight or yet to arrive,
+	// for the abort and cancel errors.
+	undelivered := func() int {
+		if arr != nil {
+			return active + arr.Pending()
+		}
+		return active
+	}
 	bestTotal = totalTogo
 	start := time.Now()
 	for active > 0 || arr != nil {
@@ -1129,21 +1048,13 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 				res.WorkerBusy = st.busyTotal()
 				st.dirty = true
 				st.finishSojourn(opts.Sojourn, &res)
-				und := active
-				if arr != nil {
-					und += arr.Pending()
-				}
-				return res, &CancelledError{Steps: res.Steps, Undelivered: und}
+				return res, &CancelledError{Steps: res.Steps, Undelivered: undelivered()}
 			default:
 			}
 		}
 		if res.Steps >= maxSteps {
 			st.finishSojourn(opts.Sojourn, &res)
-			und := active
-			if arr != nil {
-				und += arr.Pending()
-			}
-			return st.abort(res, start, und, fmt.Sprintf("exceeded %d steps", maxSteps))
+			return st.abort(res, start, undelivered(), fmt.Sprintf("exceeded %d steps", maxSteps))
 		}
 		if n.clock >= math.MaxInt32 {
 			// The activation records store int32 born stamps; a clock past
@@ -1151,11 +1062,7 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 			// Unreachable for any real phase (MaxSteps caps far lower), but
 			// a custom MaxSteps must not turn wraparound into silent loss.
 			st.finishSojourn(opts.Sojourn, &res)
-			und := active
-			if arr != nil {
-				und += arr.Pending()
-			}
-			return st.abort(res, start, und, "simulated clock exceeded int32 range")
+			return st.abort(res, start, undelivered(), "simulated clock exceeded int32 range")
 		}
 		if arr != nil {
 			if active == 0 {
@@ -1180,25 +1087,22 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 			st.finishSojourn(opts.Sojourn, &res)
 			return res, err
 		}
-		for w := 0; w < st.workers; w++ {
-			active -= st.delivered[w]
-			res.Delivered += st.delivered[w]
-			res.SumOvershoot += int64(st.sumOver[w])
-			res.Hops += int64(st.hops[w])
-			totalTogo -= int64(st.togoDrop[w])
-			if st.maxOver[w] > res.MaxOvershoot {
-				res.MaxOvershoot = st.maxOver[w]
-			}
-			if st.maxQueue[w] > res.MaxQueue {
-				res.MaxQueue = st.maxQueue[w]
-			}
+		for w := range st.ws {
+			ws := &st.ws[w]
+			active -= ws.delivered
+			res.Delivered += ws.delivered
+			res.SumOvershoot += int64(ws.sumOver)
+			res.Hops += int64(ws.hops)
+			totalTogo -= int64(ws.togoDrop)
+			res.MaxOvershoot = max(res.MaxOvershoot, ws.maxOver)
+			res.MaxQueue = max(res.MaxQueue, ws.maxQueue)
 		}
 		// Park this step's stranded packets: merge the per-worker lists
-		// deterministically (by id; work-stealing makes the raw order
-		// scheduling-dependent) and drop them from the active pool.
+		// deterministically (by id, so the order does not depend on where
+		// the ranges were cut) and drop them from the active pool.
 		strands := st.strandAll[:0]
-		for w := 0; w < st.workers; w++ {
-			strands = append(strands, st.strand[w]...)
+		for w := range st.ws {
+			strands = append(strands, st.ws[w].strand...)
 		}
 		st.strandAll = strands[:0]
 		if len(strands) > 0 {
@@ -1217,11 +1121,7 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 			lastImprove = res.Steps
 		} else if watchdog > 0 && res.Steps-lastImprove >= watchdog {
 			st.finishSojourn(opts.Sojourn, &res)
-			und := active
-			if arr != nil {
-				und += arr.Pending()
-			}
-			return st.abort(res, start, und, fmt.Sprintf("made no progress for %d steps", watchdog))
+			return st.abort(res, start, undelivered(), fmt.Sprintf("made no progress for %d steps", watchdog))
 		}
 		if opts.Paranoid {
 			if err := st.checkInvariants(totalPackets); err != nil {
@@ -1244,6 +1144,20 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 	return res, nil
 }
 
+// arm activates packet p at rank r for the phase: it builds the queue
+// entry from the (algorithm-owned) Packet record and arms the packet's
+// accounting record.
+func (st *stepState) arm(r int, p *Packet) pktRef {
+	togo := int32(st.dist(r, p.Dst))
+	arec := st.net.aux[p.ID*auxStride : (p.ID+1)*auxStride]
+	arec[auxBest] = togo
+	arec[auxStall] = 0
+	arec[auxBorn] = int32(st.net.clock)
+	arec[auxBornD] = togo
+	p.stranded = false
+	return pktRef{id: int32(p.ID), dst: int32(p.Dst), class: int16(p.Class), togo: togo, link: linkUnknown}
+}
+
 // abort finalizes a degraded phase: it stamps the wall-clock counters,
 // snapshots the packets still moving, and wraps everything in a
 // *DegradedError. A method (not a closure in Route) so the happy path
@@ -1262,12 +1176,12 @@ func (st *stepState) abort(res RouteResult, start time.Time, active int, reason 
 	}
 }
 
-// stepState carries the reusable per-phase scratch shared by shard
-// workers: the shard layout, the active-shard bookkeeping, and
-// per-worker statistic slots (merged deterministically by the
-// coordinator after each step). One instance is cached on the Net and
-// survives phases, pipeline runs, and same-layout Resets; begin and
-// attach re-arm it per phase without allocating.
+// stepState carries the reusable per-phase scratch of the step kernel:
+// the shard layout, the active-set bookkeeping, the per-step range cut,
+// and the per-worker slots (statistics, strand lists, outboxes) that the
+// coordinator merges deterministically after each step. One instance is
+// cached on the Net and survives phases, pipeline runs, and same-layout
+// Resets; begin and attach re-arm it per phase without allocating.
 type stepState struct {
 	net    *Net
 	policy Policy
@@ -1291,67 +1205,50 @@ type stepState struct {
 	errRank int
 
 	// Shard layout: processors are grouped into contiguous shards of
-	// 1<<shardShift ranks; a shard is the unit of scheduling and of
-	// active-set tracking.
+	// 1<<shardShift ranks, the resolution of active-set tracking and the
+	// granule of the per-step range cut.
 	shardShift uint
 	shardSize  int
 	numShards  int
+	// cutShards is the number of shards in one cut block: ranges are cut
+	// at multiples of max(64, shardSize) ranks, so neither a shard nor a
+	// bitmap word ever straddles two owners.
+	cutShards int
 
 	// movingProcs counts, per shard, the processors whose moving queue is
-	// non-empty. It is only ever mutated by the worker that owns the
-	// shard in the current phase, and read by the coordinator between
-	// barriers, so no atomics are needed.
+	// non-empty. Only the shard's owner in the current step mutates it;
+	// the coordinator reads it between steps to cut the ranges.
 	movingProcs []int32
 
 	// movingBits refines movingProcs to processor resolution: bit r set
-	// means processor r's moving queue is non-empty. The send phase jumps
-	// straight to its shard's set bits instead of testing every queue
-	// header — at a million processors that linear test alone streams the
-	// whole proc table once per step. All writers own the bits they touch
-	// (activation runs single-threaded; send and delivery mutate only
-	// their own shard's processors), so the bitmap is plain-access — but
-	// that ownership argument needs words not to straddle shards, so the
-	// bitmap is only built when shards hold at least 64 processors (the
-	// default; nil otherwise, falling back to the linear test).
+	// means processor r's moving queue is non-empty. The sweep jumps
+	// straight to the set bits instead of testing every queue header — at
+	// a million processors that linear test alone streams the whole proc
+	// table once per step. Ranges are 64-aligned, so every word has one
+	// owner per step and the bitmap is plain-access.
 	movingBits []uint64
 
-	// freshBits parks the fused path's same-step activations: when a
-	// forward lands on a processor with an empty queue, its movingBits
-	// bit is deferred here and merged in at the end of the step. Setting
-	// it in movingBits directly would make the pass visit the processor
-	// later in the same step only to find every entry fresh — one wasted
-	// random proc-header touch per activation. Always all-zero outside a
-	// fused step; nil exactly when movingBits is.
+	// freshBits parks same-step activations: when a forward lands on a
+	// processor with an empty queue, its movingBits bit is deferred here
+	// and merged in at the end of the owner's sweep. Setting it in
+	// movingBits directly would make the sweep visit the processor later
+	// in the same step only to find every entry fresh — one wasted random
+	// proc-header touch per activation. All-zero between steps.
 	freshBits []uint64
 
-	// pending flags, per shard, that some processor in the shard has an
-	// incoming packet parked in its inbox strip. Senders in other shards
-	// set flags concurrently during the send phase (atomically); the
-	// coordinator harvests and clears them between barriers and schedules
-	// only flagged shards for the delivery phase.
-	pending []int32
-
-	// inboxBits is the per-processor companion of pending: bit r of
-	// worker w's bitmap means w forwarded a packet into processor r's
-	// inbox strip. The delivery phase ORs the workers' words together and
-	// visits only set bits, instead of pre-scanning every strip of the
-	// shard's inbox region (2d entries per processor — a memory-bandwidth
-	// bill that dominated the million-processor rung). The bitmaps are
-	// per worker so the send phase marks them with plain stores into
-	// N/8 cache-resident bytes: a shared bitmap would need an atomic OR
-	// per forward, and a LOCK-prefixed instruction drains the store
-	// buffer — serializing the scattered inbox-store misses the buffer
-	// otherwise hides, which measured slower than having no bitmap at
-	// all. Sized by attach (the worker count), wiped by begin when dirty.
-	inboxBits [][]uint64
-
 	// mesh marks the inline fast path: the topology is a *topo.Mesh, so
-	// the send/delivery loops use the stride tables below instead of the
-	// Topology interface. Non-mesh topologies leave it false and resolve
-	// neighbors through Topo.Neighbor/SlotSender. The flag survives
-	// same-geometry Resets by construction (topo.SameGeometry never
-	// crosses the mesh/non-mesh boundary).
+	// the kernel uses the stride tables below instead of the Topology
+	// interface. Non-mesh topologies leave it false and resolve receivers
+	// through Topo.Neighbor. The flag survives same-geometry Resets by
+	// construction (topo.SameGeometry never crosses the mesh/non-mesh
+	// boundary).
 	mesh bool
+
+	// general routes every forward through hop: the Topology interface
+	// for the receiver, plus detour distances and load counting — the
+	// phase needs one of them, so the inline mesh arithmetic would not
+	// cover it. Re-derived by begin for every phase.
+	general bool
 
 	// greedy marks that the phase's policy certified itself (via
 	// MeshGreedy) as the dimension-order greedy scheme on this very mesh,
@@ -1359,17 +1256,12 @@ type stepState struct {
 	// the Policy interface. Re-derived by begin for every phase.
 	greedy bool
 
-	// fused marks that the phase runs the single-worker fused step path
-	// (see fusedStep) instead of the two-phase send/deliver split.
-	// Derived by Route per phase, after the pool is attached.
-	fused bool
-
 	// divs caches side^(d-1-dim) per dimension: the rank stride of one
 	// hop along dim, precomputed so the hot loops never call Ipow.
 	// Mesh-only (nil otherwise), like divShift/sideMask/pow2 below.
 	divs []int
 	// Power-of-two strength reduction for the coordinate extraction
-	// (rank / div) % side in the shard loops: when side = 2^k it becomes
+	// (rank / div) % side in the kernel: when side = 2^k it becomes
 	// (rank >> divShift[dim]) & sideMask — two single-cycle operations
 	// instead of two integer divisions, executed several times per packet
 	// per step. Every benchmark-ladder side qualifies; odd sides keep the
@@ -1378,27 +1270,21 @@ type stepState struct {
 	sideMask int
 	pow2     bool
 
-	sendList    []int32 // scratch: shards scheduled for the current send phase
-	deliverList []int32 // scratch: shards scheduled for the current delivery phase
-	curList     []int32 // list the workers are currently draining
-	curSend     bool
-	next        atomic.Int64 // work-stealing cursor into curList
+	// cuts is the step's range cut: worker w owns ranks
+	// [cuts[w], cuts[w+1]). split reports that the moving processors span
+	// more than one range, so the workers sweep in parallel and forwards
+	// across a cut travel through the outboxes; otherwise worker 0 sweeps
+	// every rank inline and cuts is unused.
+	cuts  []int
+	split bool
 
-	// workerFn is the cached st.phaseWorker method value: Pool.Run stores
-	// its argument, so passing the method directly would heap-allocate a
-	// fresh binding twice per step.
-	workerFn func(w int)
+	// sweepFn and drainFn are the cached st.sweepRange and st.drain
+	// method values: Pool.Run stores its argument, so passing a method
+	// directly would heap-allocate a fresh binding every step.
+	sweepFn, drainFn func(w int)
 
-	workers   int
-	delivered []int
-	sumOver   []int
-	maxOver   []int
-	maxQueue  []int
-	hops      []int
-	togoDrop  []int          // net decrease in remaining distance, per worker
-	strand    [][]PacketDiag // packets stranded this step, per worker
-	strandAll []PacketDiag   // scratch: merged strand list of the current step
-	busy      []int64        // nanoseconds of shard work, per worker
+	ws        []workerState // one per pool worker
+	strandAll []PacketDiag  // scratch: merged strand list of the current step
 
 	// Sojourn accounting (RouteOpts.Sojourn): per-worker histograms of
 	// delivery clock minus activation clock, merged into the caller's
@@ -1407,6 +1293,57 @@ type stepState struct {
 	// path stays allocation-free. soj gates the delivery-site observes.
 	soj     bool
 	sojourn []stats.Hist
+}
+
+// workerState is one worker's private slice of the step scratch: its
+// statistic slots for the current step, the packets it stranded, and
+// its outboxes.
+type workerState struct {
+	delivered, sumOver, maxOver, maxQueue, hops int
+	togoDrop                                    int   // net decrease in remaining distance
+	busy                                        int64 // nanoseconds of kernel work this phase
+	strand                                      []PacketDiag
+
+	// outbox[o] holds this worker's forwards into owner o's range during
+	// the current step, in sweep order; owner o drains them after the
+	// sweep barrier and truncates them.
+	outbox [][]xfer
+
+	// wideQ is the contest table for links from 64 up, which only a link
+	// window wider than the 64-bit grant mask has (the clique): Links()
+	// entries, noPacket between processors. grants lists the wide links
+	// granted at the current processor; forwardWide forwards them after
+	// the links below 64, in ascending order.
+	wideQ  []int32
+	grants []int32
+
+	_ [64]byte // keeps neighbouring workers' counters off one cache line
+}
+
+// grant enters queue entry qi, which requests link l >= 64, into the
+// wide link contest: the first requester takes the link, a later one
+// only if it outranks the holder. Kept out of line so that the
+// kernel's contest loop, which never calls it on a mesh, stays small.
+//
+//go:noinline
+func (ws *workerState) grant(mv []pktRef, qi, l int) {
+	cur := ws.wideQ[l]
+	if cur == noPacket {
+		ws.wideQ[l] = int32(qi)
+		ws.grants = append(ws.grants, int32(l))
+		return
+	}
+	if e, ce := &mv[qi], &mv[cur]; e.togo > ce.togo || (e.togo == ce.togo && e.id < ce.id) {
+		ws.wideQ[l] = int32(qi)
+	}
+}
+
+// xfer is a forward across a range boundary: the advanced queue entry
+// and its receiver, parked in the sender's outbox until the receiver's
+// owner drains it.
+type xfer struct {
+	recv int32
+	e    pktRef
 }
 
 // finishSojourn folds the per-worker sojourn histograms into the
@@ -1429,14 +1366,13 @@ func (st *stepState) finishSojourn(h *stats.Hist, res *RouteResult) {
 
 func newStepState(n *Net) *stepState {
 	st := &stepState{net: n}
-	// Shard sizing: a shard is both the scheduling quantum and the
-	// resolution of active-set tracking. Shards default to 128 processors
-	// and shrink (to a floor of 16) until there are at least 8 shards per
+	// Shard sizing: a shard is the resolution of active-set tracking and
+	// the granule of the range cut. Shards default to 128 processors and
+	// shrink (to a floor of 16) until there are at least 8 shards per
 	// expected worker — on small networks so the tracking keeps
 	// resolution, and at high worker counts so a skewed active set (all
-	// packets clustered in one region) still splits across the pool
-	// instead of serializing on one worker. Net.ShardShift overrides the
-	// result (clamped to [4, 16]).
+	// packets clustered in one region) can still be cut evenly across the
+	// pool. Net.ShardShift overrides the result (clamped to [4, 16]).
 	workers := 1
 	if pool := n.Pool; pool != nil {
 		workers = pool.Workers()
@@ -1457,14 +1393,11 @@ func newStepState(n *Net) *stepState {
 	}
 	st.shardSize = 1 << st.shardShift
 	st.numShards = (len(n.procs) + st.shardSize - 1) >> st.shardShift
+	st.cutShards = max(64>>st.shardShift, 1)
 	st.movingProcs = make([]int32, st.numShards)
-	st.pending = make([]int32, st.numShards)
-	if st.shardSize >= 64 {
-		st.movingBits = make([]uint64, (len(n.procs)+63)/64)
-		st.freshBits = make([]uint64, (len(n.procs)+63)/64)
-	}
-	st.sendList = make([]int32, 0, st.numShards)
-	st.deliverList = make([]int32, 0, st.numShards)
+	words := (len(n.procs) + 63) / 64
+	st.movingBits = make([]uint64, words)
+	st.freshBits = make([]uint64, words)
 	if _, isMesh := topo.MeshShape(n.Topo); isMesh {
 		st.mesh = true
 		st.divs = make([]int, n.Shape.Dim)
@@ -1483,7 +1416,8 @@ func newStepState(n *Net) *stepState {
 			}
 		}
 	}
-	st.workerFn = st.phaseWorker
+	st.sweepFn = st.sweepRange
+	st.drainFn = st.drain
 	return st
 }
 
@@ -1496,14 +1430,11 @@ func (st *stepState) dist(a, b int) int {
 	return st.net.Topo.Dist(a, b)
 }
 
-// markDirty requests a full bookkeeping wipe at the next begin (used by
-// Reset, whose queue truncation invalidates the incremental counters).
-func (st *stepState) markDirty() { st.dirty = true }
-
 // begin re-arms the cached state for a new phase. The activation loop in
-// Route recounts movingProcs from scratch, so those counters are wiped
-// here; the pending flags are self-clearing across completed steps and
-// only need a wipe after an abnormal phase end (dirty).
+// Route recounts movingProcs and movingBits from scratch, so those are
+// wiped here; freshBits, the outboxes and the contest tables are
+// self-clearing across completed steps and only need a wipe after an
+// abnormal phase end (dirty).
 func (st *stepState) begin(policy Policy) {
 	st.policy = policy
 	st.detour = false
@@ -1518,75 +1449,80 @@ func (st *stepState) begin(policy Policy) {
 			}
 		}
 	}
-	st.fused = false
+	st.general = st.detour || !st.mesh || st.net.loads != nil
 	st.err = nil
 	st.errRank = 0
-	for i := range st.movingProcs {
-		st.movingProcs[i] = 0
-	}
+	clear(st.movingProcs)
+	clear(st.movingBits)
 	if st.dirty {
-		for i := range st.pending {
-			st.pending[i] = 0
-		}
-		for _, bm := range st.inboxBits {
-			for i := range bm {
-				bm[i] = 0
+		clear(st.freshBits)
+		for w := range st.ws {
+			ws := &st.ws[w]
+			for o := range ws.outbox {
+				ws.outbox[o] = ws.outbox[o][:0]
 			}
+			for i := range ws.wideQ {
+				ws.wideQ[i] = noPacket
+			}
+			ws.grants = ws.grants[:0]
 		}
 		st.dirty = false
-	}
-	for i := range st.movingBits {
-		st.movingBits[i] = 0
-	}
-	for i := range st.freshBits {
-		st.freshBits[i] = 0
 	}
 }
 
 // attach binds the phase to its worker pool and re-arms the per-worker
-// statistic slots, reusing them whenever the worker count is unchanged.
+// slots, reusing them whenever the worker count is unchanged.
 func (st *stepState) attach(pool *Pool) {
 	st.pool = pool
 	w := pool.Workers()
-	if w != st.workers {
-		st.workers = w
-		st.delivered = make([]int, w)
-		st.sumOver = make([]int, w)
-		st.maxOver = make([]int, w)
-		st.maxQueue = make([]int, w)
-		st.hops = make([]int, w)
-		st.togoDrop = make([]int, w)
-		st.strand = make([][]PacketDiag, w)
-		st.busy = make([]int64, w)
-		words := (len(st.net.procs) + 63) / 64
-		st.inboxBits = make([][]uint64, w)
-		for i := range st.inboxBits {
-			st.inboxBits[i] = make([]uint64, words)
+	if w != len(st.ws) {
+		st.ws = make([]workerState, w)
+		st.cuts = make([]int, w+1)
+		for i := range st.ws {
+			st.ws[i].outbox = make([][]xfer, w)
+			if links := st.net.links; links > 64 {
+				st.ws[i].wideQ = make([]int32, links)
+				for j := range st.ws[i].wideQ {
+					st.ws[i].wideQ[j] = noPacket
+				}
+			}
 		}
 		return
 	}
-	for i := 0; i < w; i++ {
-		st.busy[i] = 0
+	for i := range st.ws {
+		st.ws[i].busy = 0
 	}
 }
 
 func (st *stepState) busyTotal() time.Duration {
 	var total int64
-	for _, b := range st.busy {
-		total += b
+	for i := range st.ws {
+		total += st.ws[i].busy
 	}
 	return time.Duration(total)
 }
 
-// runStep advances the simulation by one synchronous step: a send phase
-// over the shards that hold moving packets, a barrier, and a delivery
-// phase over the shards flagged as receivers during the send. Errors the
-// workers recorded (boundary or monotonicity violations) and panics that
-// escape the policy are returned, never propagated as panics. Recorded
-// errors leave the network conserved (the workers finish the step before
-// the error is read at the barrier); a policy panic abandons the
-// panicking worker's remaining shards, so the network state is unusable
-// afterwards — but the process survives.
+// Below these sizes a step does not cross the pool barrier: a sweep
+// over fewer moving processors, or a drain of fewer cross-range
+// forwards, costs less than waking the workers for it.
+const (
+	minSplitProcs = 128
+	minSplitDrain = 512
+)
+
+// runStep advances the simulation by one synchronous step. The
+// coordinator cuts the ranks into one contiguous range per worker; each
+// worker sweeps its range (see sweep), applying forwards inside the
+// range directly and parking forwards across a cut in its outboxes;
+// after the barrier each owner drains the outboxes addressed to it.
+// When the moving processors all lie in one range, worker 0 sweeps every
+// rank inline and no barrier is crossed. Errors the workers recorded
+// (boundary or monotonicity violations) and panics that escape the
+// policy are returned, never propagated as panics. Recorded errors leave
+// the network conserved (the workers finish the step before the error
+// is read); a policy panic abandons the panicking worker's remaining
+// range, so the network state is unusable afterwards — but the process
+// survives.
 func (st *stepState) runStep() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1594,37 +1530,29 @@ func (st *stepState) runStep() (err error) {
 			err = fmt.Errorf("engine: routing step panicked: %v", r)
 		}
 	}()
-	for w := 0; w < st.workers; w++ {
-		st.delivered[w] = 0
-		st.sumOver[w] = 0
-		st.maxOver[w] = 0
-		st.maxQueue[w] = 0
-		st.hops[w] = 0
-		st.togoDrop[w] = 0
-		st.strand[w] = st.strand[w][:0]
+	for w := range st.ws {
+		ws := &st.ws[w]
+		ws.delivered, ws.sumOver, ws.maxOver, ws.maxQueue, ws.hops, ws.togoDrop = 0, 0, 0, 0, 0, 0
+		ws.strand = ws.strand[:0]
 	}
-	if st.fused {
-		st.fusedStep()
-		if st.err != nil {
-			st.dirty = true
-		}
-		return st.err
+	if st.cut() {
+		st.pool.Run(st.sweepFn)
+	} else {
+		st.sweep(0, 0, len(st.net.procs))
 	}
-	st.sendList = st.sendList[:0]
-	for sh, c := range st.movingProcs {
-		if c > 0 {
-			st.sendList = append(st.sendList, int32(sh))
+	parked := 0
+	for w := range st.ws {
+		for _, box := range st.ws[w].outbox {
+			parked += len(box)
 		}
 	}
-	st.runPhase(st.sendList, true)
-	st.deliverList = st.deliverList[:0]
-	for sh := range st.pending {
-		if st.pending[sh] != 0 {
-			st.pending[sh] = 0
-			st.deliverList = append(st.deliverList, int32(sh))
+	if st.split && parked >= minSplitDrain {
+		st.pool.Run(st.drainFn)
+	} else if parked > 0 {
+		for o := range st.ws {
+			st.drain(o)
 		}
 	}
-	st.runPhase(st.deliverList, false)
 	// Workers are parked behind the pool barrier here, so the error slot
 	// needs no lock to read.
 	if st.err != nil {
@@ -1633,9 +1561,57 @@ func (st *stepState) runStep() (err error) {
 	return st.err
 }
 
+// cut divides the ranks into one contiguous range per worker, cut at block
+// boundaries so that each range holds about the same number of moving
+// processors, and reports whether the step should run split: more than
+// one range holds moving processors and there are enough of them to pay
+// for the barrier.
+func (st *stepState) cut() bool {
+	st.split = false
+	W := len(st.ws)
+	if W == 1 {
+		return false
+	}
+	total := 0
+	for _, c := range st.movingProcs {
+		total += int(c)
+	}
+	if total < minSplitProcs {
+		return false
+	}
+	N := len(st.net.procs)
+	st.cuts[0] = 0
+	k, acc, prev, live := 1, 0, 0, 0
+	for sh := 0; sh < st.numShards && k < W; {
+		end := min(sh+st.cutShards, st.numShards)
+		for ; sh < end; sh++ {
+			acc += int(st.movingProcs[sh])
+		}
+		for k < W && acc*W >= k*total {
+			st.cuts[k] = min(end<<st.shardShift, N)
+			if acc > prev {
+				live++
+				prev = acc
+			}
+			k++
+		}
+	}
+	if total > prev {
+		live++ // the last range holds the remainder
+	}
+	for ; k <= W; k++ {
+		st.cuts[k] = N
+	}
+	st.split = live > 1
+	return st.split
+}
+
+// sweepRange is worker w's share of a split step: its range of the cut.
+func (st *stepState) sweepRange(w int) { st.sweep(w, st.cuts[w], st.cuts[w+1]) }
+
 // recordErr notes an engine-detected violation at the given rank. Workers
-// keep draining their shards after recording (an early exit would leave
-// packets mid-link); the lowest-rank error wins so single-worker runs and
+// keep sweeping after recording (an early exit would leave packets
+// mid-link); the lowest-rank error wins so single-worker runs and
 // multi-worker runs report the same failure.
 func (st *stepState) recordErr(rank int, err error) {
 	st.errMu.Lock()
@@ -1646,312 +1622,20 @@ func (st *stepState) recordErr(rank int, err error) {
 	st.errMu.Unlock()
 }
 
-// runPhase drains the shard list across the pool's workers via
-// work-stealing. Shards touch disjoint state within a phase, so the
-// assignment of shards to workers cannot affect the outcome; the
-// per-worker statistic slots are merged with commutative operations.
-func (st *stepState) runPhase(list []int32, send bool) {
-	if len(list) == 0 {
-		return
-	}
-	st.curList = list
-	st.curSend = send
-	st.next.Store(0)
-	if st.workers == 1 || len(list) == 1 {
-		// Inline fast path: no reason to cross the pool barrier when the
-		// caller's worker slot can drain the whole list alone.
-		st.phaseWorker(0)
-		return
-	}
-	st.pool.Run(st.workerFn)
-}
-
-func (st *stepState) phaseWorker(w int) {
-	t0 := time.Now()
-	nprocs := len(st.net.procs)
-	for {
-		i := st.next.Add(1) - 1
-		if i >= int64(len(st.curList)) {
-			break
-		}
-		sh := int(st.curList[i])
-		lo := sh << st.shardShift
-		hi := lo + st.shardSize
-		if hi > nprocs {
-			hi = nprocs
-		}
-		if st.curSend {
-			st.sendShard(w, sh, lo, hi)
-		} else {
-			st.deliverShard(w, sh, lo, hi)
-		}
-	}
-	st.busy[w] += time.Since(t0).Nanoseconds()
-}
-
-// sendShard implements the send phase for processors [lo, hi): each
-// processor lets every moving packet request a link and grants each link
-// to the highest-priority requester (farthest distance to go, then lowest
-// id — the paper's contention rule). Links down under the fault plan
-// reject requests at grant time, and packets whose patience budget ran
-// out are parked as stranded instead of requesting. Receiving shards are
-// flagged for the delivery phase.
-//
-// The loop works entirely on the queue entries (hot fields inline) plus
-// the out-of-line patience counters when stranding is on; the cold
-// Packet record is only resolved on the stranding path, which allocates
-// diagnostics anyway.
-func (st *stepState) sendShard(w, sh, lo, hi int) {
-	n := st.net
-	aux := n.aux
-	patience := int32(st.patience)
-	emptied := int32(0)
-	bm := st.inboxBits[w]
-	if mb := st.movingBits; mb != nil {
-		// Words lie wholly inside the shard (shardSize >= 64), so the
-		// owner may read and clear them with plain accesses; the tail
-		// word's bits past the processor count are never set.
-		for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-			word := mb[wi]
-			if word == 0 {
-				continue
-			}
-			wbase := wi << 6
-			for ; word != 0; word &= word - 1 {
-				r := wbase + bits.TrailingZeros64(word)
-				if st.sendProc(w, r, &n.procs[r], bm, aux, patience) {
-					emptied++
-					mb[wi] &^= 1 << uint(r-wbase)
-				}
-			}
-		}
-	} else {
-		for r := lo; r < hi; r++ {
-			pr := &n.procs[r]
-			if len(pr.moving) == 0 {
-				continue
-			}
-			if st.sendProc(w, r, pr, bm, aux, patience) {
-				emptied++
-			}
-		}
-	}
-	if emptied > 0 {
-		st.movingProcs[sh] -= emptied
-	}
-}
-
-// sendProc runs the send phase for one processor with a non-empty moving
-// queue: the link-request contest, grant validation, the forward into
-// the receivers' inbox strips, and the queue rebuild. It reports whether
-// the queue emptied (the caller maintains the moving-processor
-// bookkeeping at both shard and bit resolution).
-func (st *stepState) sendProc(w, r int, pr *proc, bm []uint64, aux []int32, patience int32) bool {
-	n := st.net
-	// Grant each link to the best requester; the out slots (this
-	// processor's window of the shared slab) hold the winner's index
-	// into the moving queue. The slots are already empty: they are this
-	// processor's contest scratch, and the validation pass below clears
-	// every slot it reads, so slots never survive a send phase.
-	out := n.outs[r*n.links : (r+1)*n.links]
-	granted := 0
-	expired := false
-	for qi := range pr.moving {
-		e := &pr.moving[qi]
-		if patience > 0 {
-			// Personal-best accounting: only a new best distance
-			// refunds patience, so a packet circling a blocked region
-			// runs out just like one that cannot move at all.
-			ab := int(e.id) * auxStride
-			arec := aux[ab : ab+auxStride]
-			if e.togo < arec[auxBest] {
-				arec[auxBest] = e.togo
-				arec[auxStall] = 0
-			} else {
-				arec[auxStall]++
-			}
-			if arec[auxStall] > patience {
-				// Out of patience: stop requesting links; the queue
-				// rebuild below strands it.
-				expired = true
-				continue
-			}
-		}
-		// The cached link is valid until the packet moves (NextLink is a
-		// pure function of position — see pktRef); only freshly
-		// activated entries resolve it here. This keeps the request
-		// loop free of virtual calls: it streams queue entries and
-		// contests out slots, nothing else.
-		l := int(e.link)
-		if l == int(linkUnknown) {
-			l = st.nextLink(r, int(e.dst), int(e.class))
-			if l >= len(out) {
-				st.recordErr(r, fmt.Errorf("engine: policy returned invalid link %d for packet %d at rank %d", l, e.id, r))
-				e.link = -1
-				continue
-			}
-			if l < 0 {
-				l = -1
-			}
-			e.link = int16(l)
-		}
-		if l < 0 {
-			continue
-		}
-		if st.faults != nil && st.faults.LinkDown(r, l, n.clock) {
-			continue
-		}
-		cur := out[l]
-		if cur == noPacket {
-			granted++
-			out[l] = int32(qi)
-		} else if ce := &pr.moving[cur]; e.togo > ce.togo || (e.togo == ce.togo && e.id < ce.id) {
-			out[l] = int32(qi)
-		}
-	}
-	if granted == 0 && !expired {
-		return false
-	}
-	// Validate the grants, mark the winning queue entries consumed,
-	// hand each one to its receiver's inbox strip, and flag the
-	// receiver's shard for the delivery phase; the receiver may live
-	// in a shard with no moving packets of its own. The local out
-	// slots are cleared here — they are contest scratch and never
-	// survive the send phase.
-	side := n.Shape.Side
-	links := n.links
-	for l, qi := range out {
-		if qi == noPacket {
-			continue
-		}
-		out[l] = noPacket
-		e := &pr.moving[qi]
-		var recv, slot int
-		if st.mesh {
-			// Inline mesh fast path: the receiver is one stride away and
-			// the inbox slot is the sender's own link id. No interface
-			// call on the transit path.
-			dim := LinkDim(l)
-			div := st.divs[dim]
-			var c int
-			if st.pow2 {
-				c = (r >> st.divShift[dim]) & st.sideMask
-			} else {
-				c = (r / div) % side
-			}
-			recv, slot = r, l
-			legal := true
-			switch {
-			case LinkDir(l) > 0:
-				if c < side-1 {
-					recv = r + div
-				} else if n.Shape.Torus {
-					recv = r - (side-1)*div
-				} else {
-					legal = false
-				}
-			default:
-				if c > 0 {
-					recv = r - div
-				} else if n.Shape.Torus {
-					recv = r + (side-1)*div
-				} else {
-					legal = false
-				}
-			}
-			if !legal {
-				// Leave the packet in its queue (unconsumed) and drop the
-				// grant: the error aborts the phase at the step barrier
-				// with the network conserved.
-				st.recordErr(r, fmt.Errorf("engine: policy routed packet %d off the mesh boundary at rank %d link %d", e.id, r, l))
-				continue
-			}
-		} else {
-			var ok bool
-			recv, slot, ok = n.Topo.Neighbor(r, l)
-			if !ok {
-				st.recordErr(r, fmt.Errorf("engine: policy routed packet %d over the edgeless link %d of rank %d on %v", e.id, l, r, n.Topo))
-				continue
-			}
-		}
-		// Advance the packet's bookkeeping here, where its queue entry
-		// is already in cache: the delivery phase then needs no
-		// per-packet state access on the transit path at all — the
-		// receiver gets the advanced entry (and the done bit) from the
-		// inbox strip itself.
-		old := e.togo
-		var next int32
-		if st.detour {
-			// Detouring policies may move packets away from their
-			// destinations; recompute instead of decrementing.
-			next = int32(st.dist(recv, int(e.dst)))
-		} else {
-			next = old - 1
-			if next <= 0 && int(e.dst) != recv {
-				st.recordErr(r, fmt.Errorf("engine: non-monotone policy: packet %d exhausted its distance budget away from its destination", e.id))
-			}
-		}
-		st.togoDrop[w] += int(old - next)
-		id := e.id
-		nl := int16(-1)
-		if next == 0 && int(e.dst) == recv {
-			id |= pktDone
-		} else {
-			// Resolve the packet's next link from the receiver's
-			// position now, while its entry is warm in this cache: the
-			// receiver's request loop then just reads it. Same call
-			// count as resolving on request (one per hop), but off the
-			// hot loop — and stalled packets never re-resolve at all.
-			nl2 := st.nextLink(recv, int(e.dst), int(e.class))
-			if nl2 >= links {
-				st.recordErr(recv, fmt.Errorf("engine: policy returned invalid link %d for packet %d at rank %d", nl2, e.id, recv))
-				nl2 = -1
-			}
-			if nl2 >= 0 {
-				nl = int16(nl2)
-			}
-		}
-		n.inbox[recv*links+slot] = pktRef{id: id, dst: e.dst, class: e.class, togo: next, link: nl}
-		// Mark the entry consumed; the queue rebuild below drops it.
-		e.id = noPacket
-		// Plain OR into this worker's own bitmap — see inboxBits for
-		// why this must not be a LOCK-prefixed instruction.
-		bm[recv>>6] |= 1 << (uint(recv) & 63)
-		dest := recv >> st.shardShift
-		if atomic.LoadInt32(&st.pending[dest]) == 0 {
-			atomic.StoreInt32(&st.pending[dest], 1)
-		}
-	}
-	// Remove winners (consumed above) from the moving queue and park
-	// packets whose patience ran out. Entries are pointer-free, so
-	// the truncated tail needs no clearing for the collector.
-	kept := pr.moving[:0]
-	for qi := range pr.moving {
-		e := pr.moving[qi]
-		if e.id == noPacket {
-			continue
-		}
-		if patience > 0 && aux[int(e.id)*auxStride+auxStall] > patience {
-			p := n.pkt(e.id)
-			p.stranded = true
-			st.strand[w] = append(st.strand[w], st.diagnose(r, e))
-			pr.held = append(pr.held, e.id)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	pr.moving = kept
-	return len(kept) == 0
-}
-
-// nextLink resolves a packet's next link: inline dimension-order greedy
-// when the phase's policy certified itself (see MeshGreedy), the
-// interface call otherwise.
-func (st *stepState) nextLink(rank, dst, class int) int {
+// nextLink resolves the link the packet of entry e wants at rank: inline
+// dimension-order greedy when the phase's policy certified itself (see
+// MeshGreedy), the interface call otherwise. It answers -1 for no move,
+// and also for a link outside the window, recording that as an error.
+func (st *stepState) nextLink(rank int, e *pktRef) int {
 	if st.greedy {
-		return st.greedyNext(rank, dst, class)
+		return st.greedyNext(rank, int(e.dst), int(e.class))
 	}
-	return st.policy.NextLink(rank, dst, class)
+	l := st.policy.NextLink(rank, int(e.dst), int(e.class))
+	if l >= st.net.links {
+		st.recordErr(rank, fmt.Errorf("engine: policy returned invalid link %d for packet %d at rank %d", l, e.id, rank))
+		return -1
+	}
+	return max(l, -1)
 }
 
 // greedyNext is the engine-resident copy of the dimension-order greedy
@@ -1997,42 +1681,57 @@ func (st *stepState) greedyNext(rank, dst, class int) int {
 	return -1
 }
 
-// fusedStep is the single-worker step path: with no second worker to
-// overlap with, the two-phase send/deliver split is pure overhead —
-// every forwarded entry is written into the inbox transfer slab only to
-// be read back and appended to the receiver's queue moments later, two
-// extra scattered cache misses per hop that exist solely to keep
-// concurrent senders from touching the receivers' queues. The fused
-// path grants links exactly like sendProc and then pushes the winning
-// entries straight onto the receivers' queues.
+// lineDist is the distance between coordinates a and b along one
+// dimension: the line distance on a mesh, the ring distance on a torus.
+func lineDist(a, b, side int, torus bool) int {
+	d := max(a-b, b-a)
+	if torus {
+		d = min(d, side-d)
+	}
+	return d
+}
+
+// sweep is the step kernel: one pass over the moving processors of the
+// rank range [lo, hi), which worker w owns for this step. Each processor
+// lets its moving packets request links and grants each link to the
+// highest-priority requester (farthest distance to go, then lowest id —
+// the paper's contention rule), then forwards the winners in link-id
+// order. A forward to a receiver inside [lo, hi) is appended to the
+// receiver's queue on the spot; one across the range boundary is parked
+// in w's outbox for the receiver's owner to drain after the sweep
+// barrier (see drain).
 //
 // Synchronous-step semantics are preserved by the per-processor
 // eligibility watermark proc.fresh: entries pushed during the current
 // step sit above it and are excluded from the link contest, so the
-// contest sees exactly the queue a two-phase send phase would have
-// seen, and no packet moves twice in one step. Every step outcome is
-// order-independent — the contest is decided by the strict (togo, id)
-// order and grants are forwarded in link-id order — so queues and held
-// sets evolve as identical multisets on both paths and the phase
-// statistics (steps, hops, delivered, overshoot, MaxQueue) are
-// bit-identical to the two-phase path at any worker count; the
-// cross-worker determinism tests pin this equivalence.
+// contest sees exactly the queue the step started with, and no packet
+// moves twice in one step. Every step outcome is independent of queue
+// order — the contest is decided by the strict (togo, id) order — so
+// queues and held sets evolve as identical multisets at every worker
+// count; only the order inside a queue depends on where the cuts fell.
 //
-// Gated (see Route) on: one worker, mesh topology, stranding disabled,
-// no fault plan, no detouring policy, no load counting, and shards of
-// at least a bitmap word (movingBits present).
-func (st *stepState) fusedStep() {
+// The rarer modes stay out of the per-hop path, each decided once per
+// phase: patience runs as a pass before the sweep (strandStalled),
+// faults as one grant-time check, links from 64 up through a wide
+// contest forwarded via the outbox (grant, forwardWide), and non-mesh
+// receivers, detour distances and link-load counting through hop.
+func (st *stepState) sweep(w, lo, hi int) {
+	if lo >= hi {
+		// An empty range (several cuts at one block boundary, or at N):
+		// nothing to sweep, and no word of the range is this worker's.
+		return
+	}
 	t0 := time.Now()
+	if st.patience > 0 {
+		st.strandStalled(w, lo, hi)
+	}
 	n := st.net
-	mb := st.movingBits
-	nb := st.freshBits
-	rb := st.inboxBits[0]
+	ws := &st.ws[w]
+	mb, nb := st.movingBits, st.freshBits
 	clk := uint64(n.clock)
 	clk32 := int32(n.clock)
 	procs := n.procs
-	nprocs := len(procs)
 	aux := n.aux
-	links := n.links
 	movingProcs := st.movingProcs
 	shardShift := st.shardShift
 	// Loop invariants of the neighbor/link arithmetic, hoisted: the body
@@ -2042,38 +1741,42 @@ func (st *stepState) fusedStep() {
 	mask, pw2 := st.sideMask, st.pow2
 	side := n.Shape.Side
 	torus := n.Shape.Torus
-	greedy := st.greedy
-	// Transit-path counters live in locals for the duration of the step
-	// (one flush at the end): at one increment per hop, the per-slot
-	// bounds-checked slice accesses of the two-phase bookkeeping are
-	// measurable here.
-	hops, togoDrop, maxQ := 0, 0, st.maxQueue[0]
-	delivered, sumOver, maxOver := 0, 0, st.maxOver[0]
+	greedy, general := st.greedy, st.general
+	faults := st.faults
+	span := uint(hi - lo) // recv is in the range iff uint(recv-lo) < span
+	// Transit-path counters live in locals for the duration of the sweep
+	// (one flush at the end).
+	hops, togoDrop, maxQ := 0, 0, ws.maxQueue
+	delivered, sumOver, maxOver := 0, 0, ws.maxOver
 	var sojH *stats.Hist
 	if st.soj {
-		sojH = &st.sojourn[0]
+		sojH = &st.sojourn[w]
 	}
-	// Stack-resident link contest table. The fused path never touches the
-	// per-proc out slots: grantMask gates which entries of outQ are live,
-	// so the table needs no clearing between processors (links = 2d <= 62
-	// on any mesh within int32 arena capacity).
+	// Stack-resident link contest table for the links below 64 (every
+	// link of a mesh within the int32 arena): grantMask gates which
+	// entries of outQ are live, so the table needs no clearing between
+	// processors. Links from 64 up (only a clique has them) contest in
+	// the worker's wideQ and leave after the low ones (see forwardWide).
 	var outQ [64]int32
-	for sh := 0; sh < st.numShards; sh++ {
+	// Shards smaller than a bitmap word share it: each reads only its own
+	// bits of the word.
+	shardBits := ^uint64(0)
+	if st.shardSize < 64 {
+		shardBits = uint64(1)<<uint(st.shardSize) - 1
+	}
+	for sh := lo >> shardShift; sh<<shardShift < hi; sh++ {
 		if movingProcs[sh] == 0 {
 			continue
 		}
-		lo := sh << shardShift
-		hi := lo + st.shardSize
-		if hi > nprocs {
-			hi = nprocs
-		}
+		slo := sh << shardShift
+		shi := min(slo+st.shardSize, hi)
 		emptied := int32(0)
-		for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+		for wi := slo >> 6; wi < (shi+63)>>6; wi++ {
 			// Snapshot the word: emptied senders clear their bits in
 			// mb[wi] as the pass strips bits off this working copy.
 			// (Same-step activations never touch mb — they park in
 			// freshBits and merge after the pass.)
-			word := mb[wi]
+			word := mb[wi] & (shardBits << (uint(slo) & 63))
 			if word == 0 {
 				continue
 			}
@@ -2085,37 +1788,33 @@ func (st *stepState) fusedStep() {
 				if pr.fresh>>32 == clk {
 					eligible = int(pr.fresh & 0xffffffff)
 				}
-				if eligible == 0 {
-					// Unreachable while activations defer through freshBits
-					// (a set movingBits bit implies step-start entries);
-					// kept as a costless guard on that invariant.
-					continue
-				}
-				// The link-request contest of sendProc, over the eligible
-				// prefix (a solo entry simply wins its link unopposed). The
-				// prefix reslice is safe — the watermark boundary never
-				// exceeds the queue length — and lets the loop and the
-				// grant-table lookups below run without bounds checks. It
-				// stays valid through the forward loop: forwards touch
-				// other processors' queues, never this one's.
+				// The link-request contest over the eligible prefix (a solo
+				// entry simply wins its link unopposed). The prefix reslice
+				// is safe — the watermark boundary never exceeds the queue
+				// length — and stays valid through the forward loop:
+				// forwards touch other processors' queues, never this one's.
 				mv := pr.moving[:eligible]
 				var grantMask uint64
 				for qi := range mv {
 					e := &mv[qi]
+					// The cached link is valid until the packet moves
+					// (NextLink is a pure function of position — see pktRef);
+					// only freshly activated entries resolve it here.
 					l := int(e.link)
 					if l == int(linkUnknown) {
-						l = st.nextLink(r, int(e.dst), int(e.class))
-						if l >= links {
-							st.recordErr(r, fmt.Errorf("engine: policy returned invalid link %d for packet %d at rank %d", l, e.id, r))
-							e.link = -1
-							continue
-						}
-						if l < 0 {
-							l = -1
-						}
+						l = st.nextLink(r, e)
 						e.link = int16(l)
 					}
-					if l < 0 {
+					if uint(l) >= 64 {
+						// No move (l < 0), or a link beyond the grant mask
+						// (only a clique has them): that one contests in the
+						// worker's wide table, after the same fault check.
+						if l >= 0 && (faults == nil || !faults.LinkDown(r, l, n.clock)) {
+							ws.grant(mv, qi, l)
+						}
+						continue
+					}
+					if faults != nil && faults.LinkDown(r, l, n.clock) {
 						continue
 					}
 					if grantMask>>uint(l)&1 == 0 {
@@ -2125,55 +1824,73 @@ func (st *stepState) fusedStep() {
 						outQ[l] = int32(qi)
 					}
 				}
-				if grantMask == 0 {
-					continue
-				}
-				// Forward every granted entry straight onto its receiver, in
-				// link-id order: the fused counterpart of the inbox handoff
-				// in sendProc plus the drain in deliverShard, inlined so the
-				// hoisted invariants above stay in registers across hops.
+				// Forward every granted entry in link-id order.
 				consumed := 0
 				for m := grantMask; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
 					e := &mv[outQ[l]]
-					dim := LinkDim(l)
-					div := divs[dim]
-					var c int
-					if pw2 {
-						c = (r >> shifts[dim]) & mask
-					} else {
-						c = (r / div) % side
-					}
-					recv := r
-					legal := true
-					if LinkDir(l) > 0 {
-						if c < side-1 {
-							recv = r + div
-						} else if torus {
-							recv = r - (side-1)*div
-						} else {
-							legal = false
+					var recv int
+					var next int32
+					if general {
+						var ok bool
+						if recv, next, ok = st.hop(r, l, e); !ok {
+							continue
 						}
 					} else {
-						if c > 0 {
-							recv = r - div
-						} else if torus {
-							recv = r + (side-1)*div
+						// Inline mesh fast path: the receiver is one stride
+						// away and the distance drops by one. No interface
+						// call on the transit path.
+						dim := LinkDim(l)
+						div := divs[dim]
+						var c int
+						if pw2 {
+							c = (r >> shifts[dim]) & mask
 						} else {
-							legal = false
+							c = (r / div) % side
+						}
+						recv = -1
+						if LinkDir(l) > 0 {
+							if c < side-1 {
+								recv = r + div
+							} else if torus {
+								recv = r - (side-1)*div
+							}
+						} else {
+							if c > 0 {
+								recv = r - div
+							} else if torus {
+								recv = r + (side-1)*div
+							}
+						}
+						if recv < 0 {
+							// Leave the packet in its queue (unconsumed) and
+							// drop the grant: the error aborts the phase at
+							// the end of the step with the network conserved.
+							st.recordErr(r, fmt.Errorf("engine: policy routed packet %d off the mesh boundary at rank %d link %d", e.id, r, l))
+							continue
+						}
+						next = e.togo - 1
+						if next <= 0 && int(e.dst) != recv {
+							st.recordErr(r, fmt.Errorf("engine: non-monotone policy: packet %d exhausted its distance budget away from its destination", e.id))
 						}
 					}
-					if !legal {
-						// Leaves the packet in place, exactly like the
-						// two-phase path.
-						st.recordErr(r, fmt.Errorf("engine: policy routed packet %d off the mesh boundary at rank %d link %d", e.id, r, l))
+					hops++
+					togoDrop += int(e.togo) - int(next)
+					consumed++
+					if uint(recv-lo) >= span {
+						// Across the cut: the receiver's owner may be sweeping
+						// it right now, so park the entry for the drain.
+						st.park(w, recv, e, next)
+						e.id = noPacket
 						continue
 					}
-					next := e.togo - 1
-					if next <= 0 && int(e.dst) != recv {
-						st.recordErr(r, fmt.Errorf("engine: non-monotone policy: packet %d exhausted its distance budget away from its destination", e.id))
-					}
 					p2 := &procs[recv]
+					// pending counts the receiver's entries left from the
+					// start of the step (see the occupancy sample below).
+					pending := len(p2.moving)
+					if p2.fresh>>32 == clk {
+						pending = int(p2.fresh & 0xffffffff)
+					}
 					if next == 0 && int(e.dst) == recv {
 						p2.held = append(p2.held, e.id)
 						delivered++
@@ -2187,8 +1904,10 @@ func (st *stepState) fusedStep() {
 							sojH.Observe(int64(clk32 - aux[ab+auxBorn]))
 						}
 					} else {
-						nl := int16(-1)
-						var nl2 int
+						// Resolve the packet's next link from the receiver's
+						// position now, while its entry is warm in this cache:
+						// the receiver's contest then just reads it.
+						var nl int
 						if greedy {
 							// Same-dimension shortcut: a greedy packet keeps
 							// correcting the dimension it is moving along until
@@ -2199,67 +1918,54 @@ func (st *stepState) fusedStep() {
 							// class order are already corrected, so while dim
 							// still mismatches it remains the first mismatch
 							// and the next link is the link just taken.
+							dim := LinkDim(l)
 							var rc, tc int
 							if pw2 {
 								sh := shifts[dim]
 								rc = (recv >> sh) & mask
 								tc = (int(e.dst) >> sh) & mask
 							} else {
+								div := divs[dim]
 								rc = (recv / div) % side
 								tc = (int(e.dst) / div) % side
 							}
 							if rc != tc {
-								nl2 = l
+								nl = l
 							} else {
-								nl2 = st.greedyNext(recv, int(e.dst), int(e.class))
+								nl = st.greedyNext(recv, int(e.dst), int(e.class))
 							}
 						} else {
-							nl2 = st.policy.NextLink(recv, int(e.dst), int(e.class))
-							if nl2 >= links {
-								st.recordErr(recv, fmt.Errorf("engine: policy returned invalid link %d for packet %d at rank %d", nl2, e.id, recv))
-								nl2 = -1
-							}
-						}
-						if nl2 >= 0 {
-							nl = int16(nl2)
+							nl = st.nextLink(recv, e)
 						}
 						if len(p2.moving) == 0 {
-							// Empty -> non-empty: the same moving-processor
-							// activation the two-phase delivery phase performs.
-							// The bitmap bit is parked in freshBits and merged
-							// after the pass — set directly in movingBits, a
-							// receiver above the sender would be visited later
-							// this very step only to skip its all-fresh queue.
+							// Empty -> non-empty. The bitmap bit is parked in
+							// freshBits and merged after the sweep — set
+							// directly in movingBits, a receiver above the
+							// sender would be visited later this very step
+							// only to skip its all-fresh queue.
 							movingProcs[recv>>shardShift]++
 							nb[recv>>6] |= 1 << (uint(recv) & 63)
 						}
 						if p2.fresh>>32 != clk {
 							p2.fresh = clk<<32 | uint64(len(p2.moving))
 						}
-						p2.moving = append(p2.moving, pktRef{id: e.id, dst: e.dst, class: e.class, togo: next, link: nl})
+						p2.moving = append(p2.moving, pktRef{id: e.id, dst: e.dst, class: e.class, togo: next, link: int16(nl)})
 					}
-					// Occupancy high-water mark. The two-phase path samples
-					// each receiver's queue after the send phase removed
-					// departures; here the pass visits processors in
+					// Occupancy high-water mark, sampled once the receiver's
+					// departures are done: the sweep visits processors in
 					// ascending rank, so a receiver below the sender has
-					// already sent (its queue only grows from here on) and
-					// can be sampled directly, while one above may still
-					// hold entries that depart later this step — mark it in
-					// the receiver bitmap (idle on the fused path) and let
-					// the end-of-step sweep sample it, when the state is
-					// final either way.
-					if recv > r {
-						rb[recv>>6] |= 1 << (uint(recv) & 63)
-					} else if q := len(p2.moving) + len(p2.held); q > maxQ {
-						maxQ = q
+					// already sent, and one with no step-start entries
+					// sends nothing — their queues only grow from here on.
+					// A receiver still to be swept samples itself then.
+					if recv < r || pending == 0 {
+						if qn := len(p2.moving) + len(p2.held); qn > maxQ {
+							maxQ = qn
+						}
 					}
-					hops++
-					togoDrop += int(e.togo) - int(next)
 					e.id = noPacket
-					consumed++
 				}
-				if consumed == 0 {
-					continue
+				if len(ws.grants) > 0 {
+					consumed += st.forwardWide(w, r, mv)
 				}
 				if consumed == eligible && eligible == len(pr.moving) {
 					// Everything moved (the solo-entry common case): truncate
@@ -2269,29 +1975,14 @@ func (st *stepState) fusedStep() {
 					pr.moving = pr.moving[:0]
 					mb[wi] &^= 1 << uint(r-wbase)
 					emptied++
-					continue
-				}
-				// Rebuild: drop consumed winners from the eligible prefix,
-				// keep the fresh suffix, and re-anchor the watermark to the
-				// compacted prefix length so later pushes keep appending
-				// above it.
-				kept := pr.moving[:0]
-				for qi := 0; qi < eligible; qi++ {
-					if pr.moving[qi].id != noPacket {
-						kept = append(kept, pr.moving[qi])
-					}
-				}
-				keptOld := len(kept)
-				for qi := eligible; qi < len(pr.moving); qi++ {
-					kept = append(kept, pr.moving[qi])
-				}
-				pr.moving = kept
-				if pr.fresh>>32 == clk {
-					pr.fresh = clk<<32 | uint64(keptOld)
-				}
-				if len(pr.moving) == 0 {
+				} else if consumed > 0 && st.rebuild(pr, eligible) {
 					mb[wi] &^= 1 << uint(r-wbase)
 					emptied++
+				}
+				// The processor's departures are done and its queue only
+				// grows from here: sample its occupancy.
+				if qn := len(pr.moving) + len(pr.held); qn > maxQ {
+					maxQ = qn
 				}
 			}
 		}
@@ -2299,195 +1990,240 @@ func (st *stepState) fusedStep() {
 			movingProcs[sh] -= emptied
 		}
 	}
-	// Merge the deferred activations: freshBits must read all-zero again
-	// before the next step (and before the paranoid checker runs).
-	for wi, word := range nb {
-		if word != 0 {
+	// Merge the range's deferred activations; freshBits reads all-zero
+	// again afterwards.
+	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+		if word := nb[wi]; word != 0 {
 			mb[wi] |= word
 			nb[wi] = 0
 		}
 	}
-	// End-of-step sweep over the receivers whose occupancy could not be
-	// sampled in place: their state is final now. Worker 0's inbox bitmap
-	// doubles as the marker set — the fused path parks nothing in the
-	// inbox, so the bitmap is otherwise idle — and is left all-clear for
-	// the next step, exactly what the paranoid checker expects between
-	// steps.
-	for wi, word := range rb {
-		if word == 0 {
-			continue
-		}
-		rb[wi] = 0
-		wbase := wi << 6
-		for ; word != 0; word &= word - 1 {
-			r := wbase + bits.TrailingZeros64(word)
-			pr := &procs[r]
-			if q := len(pr.moving) + len(pr.held); q > maxQ {
-				maxQ = q
-			}
-		}
-	}
-	st.hops[0] += hops
-	st.togoDrop[0] += togoDrop
-	st.maxQueue[0] = maxQ
-	st.delivered[0] += delivered
-	st.sumOver[0] += sumOver
-	st.maxOver[0] = maxOver
-	st.busy[0] += time.Since(t0).Nanoseconds()
+	ws.hops += hops
+	ws.togoDrop += togoDrop
+	ws.maxQueue = max(ws.maxQueue, maxQ)
+	ws.delivered += delivered
+	ws.sumOver += sumOver
+	ws.maxOver = max(ws.maxOver, maxOver)
+	ws.busy += time.Since(t0).Nanoseconds()
 }
 
-// deliverShard implements the delivery phase for processors [lo, hi):
-// each flagged receiver drains its contiguous inbox strip, where the
-// send phase parked incoming packets keyed by the sender's link id. On a
-// 2-side torus both directions of a dimension reach the same neighbor;
-// the double edge shows up as the strip's two distinct slots of that
-// dimension. Senders are only reconstructed (from the slot's direction)
-// when link-load counting is on — the hot path needs no coordinate math
-// at all.
-func (st *stepState) deliverShard(w, sh, lo, hi int) {
+// strandStalled runs the patience accounting for every moving packet of
+// the range [lo, hi) at the start of worker w's sweep, and parks the
+// packets that ran out of patience in their processor's held list as
+// stranded: they stop requesting links for good. Only a new best
+// distance refunds patience, so a packet circling a blocked region runs
+// out just like one that cannot move at all. Doing this before the
+// contest, instead of inside it, keeps the kernel's per-entry loop free
+// of the patience branch; the outcome is the same, since an expired
+// packet never contests a link either way.
+func (st *stepState) strandStalled(w, lo, hi int) {
 	n := st.net
-	side := n.Shape.Side
 	aux := n.aux
-	inbox, links := n.inbox, n.links
-	clock := int32(n.clock)
-	// The shard-level pending flag got us here; the receivers within the
-	// shard are the set bits of the shard's slice of the pending bitmaps,
-	// OR-ed across the senders that wrote them. The bitmaps stay
-	// cache-resident (N/8 bytes each), so finding the receivers costs a
-	// few word loads per shard — where pre-scanning the shard's inbox
-	// region for non-empty strips (2d entries per processor) was a
-	// per-step sweep of the full transfer slab. The pool barrier between
-	// the phases orders the senders' plain bitmap stores before these
-	// reads. Claimed bits are cleared with plain stores when a word
-	// belongs wholly to this shard (shardShift >= 6, the default);
-	// smaller shards share words across workers and mask their bits out
-	// atomically, so the reads are atomic loads (plain loads on amd64).
+	patience := int32(st.patience)
+	mb := st.movingBits
 	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-		var word uint64
-		for _, bm := range st.inboxBits {
-			word |= atomic.LoadUint64(&bm[wi])
-		}
-		if word == 0 {
-			continue
-		}
 		wbase := wi << 6
-		whole := lo <= wbase
-		if hb := hi - wbase; hb < 64 && hi < len(n.procs) {
-			word &= uint64(1)<<uint(hb) - 1
-			whole = false
-		}
-		if lo > wbase {
-			word &= ^uint64(0) << uint(lo-wbase)
-		}
-		if word == 0 {
-			continue
-		}
-		if whole {
-			for _, bm := range st.inboxBits {
-				bm[wi] = 0
-			}
-		} else {
-			for k := range st.inboxBits {
-				atomic.AndUint64(&st.inboxBits[k][wi], ^word)
-			}
-		}
-		for ; word != 0; word &= word - 1 {
+		for word := mb[wi]; word != 0; word &= word - 1 {
 			r := wbase + bits.TrailingZeros64(word)
-			base := r * links
 			pr := &n.procs[r]
-			wasEmpty := len(pr.moving) == 0
-			for slot := 0; slot < links; slot++ {
-				e := inbox[base+slot]
-				if e.id == noPacket {
+			kept := pr.moving[:0]
+			for _, e := range pr.moving {
+				arec := aux[int(e.id)*auxStride : int(e.id)*auxStride+auxStride]
+				if e.togo < arec[auxBest] {
+					arec[auxBest] = e.togo
+					arec[auxStall] = 0
+				} else if arec[auxStall]++; arec[auxStall] > patience {
+					n.Packet(e.id).stranded = true
+					st.ws[w].strand = append(st.ws[w].strand, st.diagnose(r, e))
+					pr.held = append(pr.held, e.id)
 					continue
 				}
-				inbox[base+slot].id = noPacket
-				st.hops[w]++
-				if n.loads != nil {
-					// The receiver owns this counter: one slot per
-					// (sender, link) pair, indexed by the sender, is
-					// touched by exactly one receiver per step.
-					if st.mesh {
-						// The mesh sender sits one hop against the slot's
-						// direction, and the sender's link id is the slot.
-						dim := LinkDim(slot)
-						div := st.divs[dim]
-						var c int
-						if st.pow2 {
-							c = (r >> st.divShift[dim]) & st.sideMask
-						} else {
-							c = (r / div) % side
-						}
-						sender := r
-						if LinkDir(slot) > 0 { // sent on +1: sender one hop below
-							if c > 0 {
-								sender = r - div
-							} else {
-								sender = r + (side-1)*div
-							}
-						} else {
-							if c < side-1 {
-								sender = r + div
-							} else {
-								sender = r - (side-1)*div
-							}
-						}
-						n.loads[sender*links+slot]++
-					} else {
-						sender, slink := n.Topo.SlotSender(r, slot)
-						n.loads[sender*links+slink]++
-					}
-				}
-				// The sender already advanced the packet's bookkeeping (with
-				// the queue entry warm in its cache), resolved its next link,
-				// and encoded completion in the entry's done bit — the
-				// transit path below appends the entry straight onto the
-				// moving queue, so delivery streams through memory instead
-				// of chasing a scattered record per hop.
-				if e.id&pktDone != 0 {
-					id := e.id &^ pktDone
-					pr.held = append(pr.held, id)
-					st.delivered[w]++
-					ab := int(id) * auxStride
-					over := int((clock - aux[ab+auxBorn]) - aux[ab+auxBornD])
-					st.sumOver[w] += over
-					if over > st.maxOver[w] {
-						st.maxOver[w] = over
-					}
-					if st.soj {
-						st.sojourn[w].Observe(int64(clock - aux[ab+auxBorn]))
-					}
-				} else {
-					pr.moving = append(pr.moving, e)
-				}
+				kept = append(kept, e)
 			}
-			// Occupancy can only grow by receiving (or at activation), so
-			// sampling receivers right after their pulls preserves the exact
-			// high-water mark.
-			if q := len(pr.moving) + len(pr.held); q > st.maxQueue[w] {
-				st.maxQueue[w] = q
-			}
-			if wasEmpty && len(pr.moving) > 0 {
-				st.movingProcs[sh]++
-				if st.movingBits != nil {
-					st.movingBits[r>>6] |= 1 << (uint(r) & 63)
-				}
+			pr.moving = kept
+			if len(kept) == 0 {
+				mb[wi] &^= 1 << uint(r-wbase)
+				st.movingProcs[r>>st.shardShift]--
 			}
 		}
 	}
+}
+
+// rebuild compacts processor pr's moving queue after the forwards: it
+// drops the consumed winners from the eligible prefix, keeps the fresh
+// suffix, and re-anchors the watermark to the compacted prefix length
+// so later pushes keep appending above it. It reports whether the queue
+// emptied.
+func (st *stepState) rebuild(pr *proc, eligible int) bool {
+	kept := pr.moving[:0]
+	for _, e := range pr.moving[:eligible] {
+		if e.id != noPacket {
+			kept = append(kept, e)
+		}
+	}
+	keptOld := len(kept)
+	kept = append(kept, pr.moving[eligible:]...)
+	pr.moving = kept
+	if clk := uint64(st.net.clock); pr.fresh>>32 == clk {
+		pr.fresh = clk<<32 | uint64(keptOld)
+	}
+	return len(pr.moving) == 0
+}
+
+// hop is the general forward of the packet of entry e from rank r over
+// link l: the receiver through the Topology interface, the distance to
+// go after the hop (recomputed for a detouring policy), and the link's
+// load counter. It reports false, with the error recorded and the packet
+// left in place, when the link carries no edge.
+func (st *stepState) hop(r, l int, e *pktRef) (recv int, next int32, ok bool) {
+	n := st.net
+	if recv, _, ok = n.Topo.Neighbor(r, l); !ok {
+		st.recordErr(r, fmt.Errorf("engine: policy routed packet %d over the edgeless link %d of rank %d on %v", e.id, l, r, n.Topo))
+		return 0, 0, false
+	}
+	if st.detour {
+		next = st.detourDist(r, recv, l, e)
+	} else if next = e.togo - 1; next <= 0 && int(e.dst) != recv {
+		st.recordErr(r, fmt.Errorf("engine: non-monotone policy: packet %d exhausted its distance budget away from its destination", e.id))
+	}
+	if n.loads != nil {
+		// The sender owns its own link counters.
+		n.loads[r*n.links+l]++
+	}
+	return recv, next, true
+}
+
+// detourDist is the distance to go after a detouring policy moved the
+// packet of entry e from rank r to recv over link l: recomputed, not
+// decremented, since the hop may lead away from the destination. On a
+// mesh the hop changes only the coordinate along the link's dimension,
+// so only that term of the distance moves.
+func (st *stepState) detourDist(r, recv, l int, e *pktRef) int32 {
+	if !st.mesh {
+		return int32(st.net.Topo.Dist(recv, int(e.dst)))
+	}
+	dim := LinkDim(l)
+	var c, rc, t int
+	if st.pow2 {
+		sh := st.divShift[dim]
+		c, rc, t = (r>>sh)&st.sideMask, (recv>>sh)&st.sideMask, (int(e.dst)>>sh)&st.sideMask
+	} else {
+		div, side := st.divs[dim], st.net.Shape.Side
+		c, rc, t = (r/div)%side, (recv/div)%side, (int(e.dst)/div)%side
+	}
+	side, torus := st.net.Shape.Side, st.net.Shape.Torus
+	return e.togo + int32(lineDist(rc, t, side, torus)-lineDist(c, t, side, torus))
+}
+
+// forwardWide forwards the wide grants of processor r (see grant), in
+// link-id order, and reports how many packets left. Each goes through
+// hop and is parked in worker w's outbox like a forward across a range
+// cut, so the wide contest adds nothing to the kernel's per-hop loop;
+// the drain appends it after the sweep, exactly as the synchronous step
+// requires.
+func (st *stepState) forwardWide(w, r int, mv []pktRef) int {
+	ws := &st.ws[w]
+	slices.Sort(ws.grants)
+	moved := 0
+	for _, l := range ws.grants {
+		e := &mv[ws.wideQ[l]]
+		ws.wideQ[l] = noPacket
+		recv, next, ok := st.hop(r, int(l), e)
+		if !ok {
+			continue
+		}
+		ws.hops++
+		ws.togoDrop += int(e.togo - next)
+		st.park(w, recv, e, next)
+		e.id = noPacket
+		moved++
+	}
+	ws.grants = ws.grants[:0]
+	return moved
+}
+
+// park hands the packet of entry e, forwarded by worker w to recv with
+// next hops to go, to the receiver's owner (worker 0 when the step runs
+// inline): it does the delivery accounting or resolves the next link, as
+// the inline path does, and appends the advanced entry to the owner's
+// outbox.
+func (st *stepState) park(w, recv int, e *pktRef, next int32) {
+	ws := &st.ws[w]
+	nl := int16(-1)
+	if next == 0 && int(e.dst) == recv {
+		ws.delivered++
+		clk := int32(st.net.clock)
+		ab := int(e.id) * auxStride
+		born := st.net.aux[ab+auxBorn]
+		over := int((clk - born) - st.net.aux[ab+auxBornD])
+		ws.sumOver += over
+		ws.maxOver = max(ws.maxOver, over)
+		if st.soj {
+			st.sojourn[w].Observe(int64(clk - born))
+		}
+	} else {
+		nl = int16(st.nextLink(recv, e))
+	}
+	o := 0
+	if st.split {
+		o = w
+		for recv < st.cuts[o] {
+			o--
+		}
+		for recv >= st.cuts[o+1] {
+			o++
+		}
+	}
+	ws.outbox[o] = append(ws.outbox[o], xfer{recv: int32(recv), e: pktRef{id: e.id, dst: e.dst, class: e.class, togo: next, link: nl}})
+}
+
+// drain appends every outbox entry addressed to owner o's range to its
+// receiver, in worker order and within a worker in sweep order, so the
+// resulting queues depend only on the cut, never on scheduling. It runs
+// after the sweep barrier, when every sender is done, so the receivers'
+// state is final once their entries land and each is sampled for the
+// occupancy high-water mark right there. The sender already did the
+// packet's bookkeeping and delivery accounting.
+func (st *stepState) drain(o int) {
+	t0 := time.Now()
+	procs := st.net.procs
+	ws := &st.ws[o]
+	maxQ := ws.maxQueue
+	for w := range st.ws {
+		box := st.ws[w].outbox[o]
+		for _, x := range box {
+			recv := int(x.recv)
+			pr := &procs[recv]
+			if x.e.togo == 0 && int(x.e.dst) == recv {
+				pr.held = append(pr.held, x.e.id)
+			} else {
+				if len(pr.moving) == 0 {
+					st.movingProcs[recv>>st.shardShift]++
+					st.movingBits[recv>>6] |= 1 << (uint(recv) & 63)
+				}
+				pr.moving = append(pr.moving, x.e)
+			}
+			if qn := len(pr.moving) + len(pr.held); qn > maxQ {
+				maxQ = qn
+			}
+		}
+		st.ws[w].outbox[o] = box[:0]
+	}
+	ws.maxQueue = maxQ
+	ws.busy += time.Since(t0).Nanoseconds()
 }
 
 // diagnose captures a PacketDiag for the packet with the given queue
 // entry at the given rank: its profitable links (the ones that would
 // reduce its distance) and which of them the fault plan blocks right
-// now. Read-only with respect to shared state, so shard workers may
+// now. Read-only with respect to shared state, so the workers may
 // call it concurrently. The cold Packet record is resolved here —
 // diagnostics are off the hot path by definition.
 func (st *stepState) diagnose(rank int, e pktRef) PacketDiag {
 	n := st.net
 	dst := int(e.dst)
 	d := PacketDiag{
-		ID: n.pkt(e.id).ID, Key: n.pkt(e.id).Key, Rank: rank, Dst: dst,
+		ID: n.Packet(e.id).ID, Key: n.Packet(e.id).Key, Rank: rank, Dst: dst,
 		Dist: int(e.togo), Waited: int(n.aux[int(e.id)*auxStride+auxStall]),
 	}
 	// A link is profitable exactly when it strictly reduces the
@@ -2536,39 +2272,47 @@ func diagByRankID(a, b PacketDiag) int {
 }
 
 // checkInvariants is the paranoid per-step checker (RouteOpts.Paranoid):
-// no packet left on a link across the step barrier (which also enforces
-// one packet per link per step — a surviving slot would mean a second
-// grant landed on an unconsumed one), packet conservation against the
-// activation-time census, every held packet at its destination or
-// explicitly stranded, and every moving packet's distance budget equal to
-// its true distance.
+// no packet left on a link across the step barrier (every outbox drained,
+// every contest slot clear), the step-local bitmaps clear, the moving
+// bitmap and per-shard counts in step with the queues, packet
+// conservation against the activation-time census, every held packet at
+// its destination or explicitly stranded, and every moving packet's
+// distance budget equal to its true distance.
 func (st *stepState) checkInvariants(total int) error {
 	n := st.net
+	for w := range st.ws {
+		for o, box := range st.ws[w].outbox {
+			if len(box) != 0 {
+				return fmt.Errorf("engine: invariant violated: worker %d left %d forwards for owner %d across a step barrier", w, len(box), o)
+			}
+		}
+		for l, qi := range st.ws[w].wideQ {
+			if qi != noPacket {
+				return fmt.Errorf("engine: invariant violated: worker %d left grant %d on link %d across a step barrier", w, qi, l)
+			}
+		}
+	}
+	for wi := range st.movingBits {
+		if st.freshBits[wi] != 0 {
+			return fmt.Errorf("engine: invariant violated: deferred activation bits %#x left for processors [%d,%d) across a step barrier", st.freshBits[wi], wi*64, wi*64+64)
+		}
+	}
 	count := 0
-	links := n.links
+	shardMoving := make([]int32, st.numShards)
 	for r := range n.procs {
 		pr := &n.procs[r]
-		for l, qi := range n.outs[r*links : (r+1)*links] {
-			if qi != noPacket {
-				return fmt.Errorf("engine: invariant violated: grant %d left on link %d of rank %d across a step barrier", qi, l, r)
-			}
-		}
-		for l, e := range n.inbox[r*links : (r+1)*links] {
-			if e.id != noPacket {
-				return fmt.Errorf("engine: invariant violated: packet %d left in the inbox slot %d of rank %d across a step barrier", e.id, l, r)
-			}
-		}
 		count += len(pr.moving) + len(pr.held)
 		for _, id := range pr.held {
-			p := n.pkt(id)
+			p := n.Packet(id)
 			if p.Dst != r && !p.stranded {
 				return fmt.Errorf("engine: invariant violated: packet %d held at rank %d away from destination %d without being stranded", p.ID, r, p.Dst)
 			}
 		}
-		if st.movingBits != nil {
-			if got := st.movingBits[r>>6]&(1<<(uint(r)&63)) != 0; got != (len(pr.moving) > 0) {
-				return fmt.Errorf("engine: invariant violated: rank %d holds %d moving packets but its moving bit reads %v", r, len(pr.moving), got)
-			}
+		if got := st.movingBits[r>>6]&(1<<(uint(r)&63)) != 0; got != (len(pr.moving) > 0) {
+			return fmt.Errorf("engine: invariant violated: rank %d holds %d moving packets but its moving bit reads %v", r, len(pr.moving), got)
+		}
+		if len(pr.moving) > 0 {
+			shardMoving[r>>st.shardShift]++
 		}
 		for _, e := range pr.moving {
 			if want := st.dist(r, int(e.dst)); int(e.togo) != want {
@@ -2581,11 +2325,9 @@ func (st *stepState) checkInvariants(total int) error {
 			}
 		}
 	}
-	for k, bm := range st.inboxBits {
-		for wi, word := range bm {
-			if word != 0 {
-				return fmt.Errorf("engine: invariant violated: worker %d left inbox pending bits %#x for processors [%d,%d) across a step barrier", k, word, wi*64, wi*64+64)
-			}
+	for sh, c := range shardMoving {
+		if st.movingProcs[sh] != c {
+			return fmt.Errorf("engine: invariant violated: shard %d counts %d moving processors but holds %d", sh, st.movingProcs[sh], c)
 		}
 	}
 	if count != total {

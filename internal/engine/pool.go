@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent set of worker goroutines that execute the shard
+// Pool is a persistent set of worker goroutines that execute the range
 // work of routing phases. A Pool replaces the per-step goroutine spawning
 // of the naive step loop: workers are launched once and synchronize with
 // the coordinator through a sense-reversing atomic barrier.
@@ -15,7 +15,7 @@ import (
 // "sense"); workers observe the flip with a bounded spin before falling
 // back to a parked channel wait, and completion is a single atomic
 // countdown the caller observes the same way. When phases arrive
-// back-to-back — the step loop wakes the pool twice per simulated step —
+// back-to-back — the step loop wakes the pool once or twice per step —
 // the barrier crossings are pure atomic loads and stores, with no
 // channel round-trip per step per worker (the cost that dominated the
 // old wake/done channel barrier at high shard counts). When the pool

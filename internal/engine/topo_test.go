@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -216,15 +217,22 @@ func TestRandomFaultPlanTopo(t *testing.T) {
 }
 
 // TestCliqueWarmRouteDoesNotAllocate extends the zero-allocation guard
-// to the generic (non-mesh) data plane: the interface-driven send path
-// must not box, closure, or reallocate anything once warm.
+// to the generic (non-mesh) data plane: the interface-driven kernel,
+// with its wide link contest, must not box, closure, or reallocate
+// anything once warm, at 1 worker or 2.
 func TestCliqueWarmRouteDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { cliqueWarmAllocs(t, workers) })
+	}
+}
+
+func cliqueWarmAllocs(t *testing.T, workers int) {
 	c := topo.NewClique(128)
 	net := NewNet(c)
-	pool := NewPool(2)
+	pool := NewPool(workers)
 	defer pool.Close()
 	net.Pool = pool
 

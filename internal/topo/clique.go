@@ -14,11 +14,10 @@ import "fmt"
 //	l   when l <  r
 //	l+1 when l >= r
 //
-// The inbox slot at the receiver t is the receiver's own link id for the
+// The slot at the receiver t is the receiver's own link id for the
 // sender (r with t skipped), which makes Reverse and the slot mapping
 // the same function: the directed edge r->t delivers into exactly the
-// slot whose back-link returns to r, so (recv, slot) is unique per edge
-// and SlotSender is pure arithmetic.
+// slot whose back-link returns to r, so (recv, slot) is unique per edge.
 type Clique struct {
 	n int
 }
@@ -65,19 +64,8 @@ func (c *Clique) Neighbor(rank, link int) (recv, slot int, ok bool) {
 	return recv, c.LinkTo(recv, rank), true
 }
 
-// SlotSender implements Topology: the slot is the receiver's link id for
-// the sender, so the sender is the slot's neighbor and the sender's link
-// points back at the receiver.
-func (c *Clique) SlotSender(recv, slot int) (sender, senderLink int) {
-	sender = slot
-	if slot >= recv {
-		sender = slot + 1
-	}
-	return sender, c.LinkTo(sender, recv)
-}
-
 // Reverse implements Topology. For the clique the back-link equals the
-// inbox slot by construction.
+// edge's slot by construction.
 func (c *Clique) Reverse(rank, link int) (recv, backLink int, ok bool) {
 	return c.Neighbor(rank, link)
 }

@@ -15,10 +15,9 @@ import (
 //
 // Link ids are grid's encoding dim*2 + dirBit (engine.LinkFor): the
 // window width is 2d everywhere, with boundary links of a mesh carrying
-// no edge. The inbox slot of an edge is the sender's own link id — the
-// receiver can always reconstruct the sender from the slot's dimension
-// and direction, and on a side-2 torus the two directed edges of a
-// dimension land in the two distinct slots of that dimension.
+// no edge. The receiver-side slot of an edge is the sender's own link
+// id: on a side-2 torus the two directed edges of a dimension land in
+// the two distinct slots of that dimension.
 type Mesh struct {
 	shape grid.Shape
 	n     int
@@ -113,26 +112,6 @@ func (m *Mesh) Neighbor(rank, link int) (recv, slot int, ok bool) {
 		return rank + (side-1)*div, link, true
 	}
 	return 0, 0, false
-}
-
-// SlotSender implements Topology: the sender sits one hop against the
-// slot's direction (with torus wrap), and the sender's link id is the
-// slot itself.
-func (m *Mesh) SlotSender(recv, slot int) (sender, senderLink int) {
-	dim := slot >> 1
-	div := m.divs[dim]
-	side := m.shape.Side
-	c := m.coord(recv, dim)
-	if slot&1 == 1 { // delivered on +1: sender one hop below
-		if c > 0 {
-			return recv - div, slot
-		}
-		return recv + (side-1)*div, slot
-	}
-	if c < side-1 {
-		return recv + div, slot
-	}
-	return recv - (side-1)*div, slot
 }
 
 // Reverse implements Topology: the opposite direction of the same

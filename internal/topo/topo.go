@@ -1,7 +1,7 @@
 // Package topo defines the pluggable topology layer of the routing
 // engine: the graph a network simulates, expressed in the terms the
 // engine's data plane needs — uniform link-id windows, receiver-side
-// inbox slots, distances — rather than as an adjacency list.
+// edge slots, distances — rather than as an adjacency list.
 //
 // The engine (internal/engine) owns the packets and the step loop; a
 // Topology owns the graph. Mesh is the precomputed-stride mesh/torus of
@@ -16,25 +16,22 @@ import "meshsort/internal/grid"
 
 // Topology is the graph contract the engine routes on. Implementations
 // must be immutable after construction and safe for concurrent use: the
-// step loop calls Neighbor, SlotSender, and Dist from shard workers.
+// step loop calls Neighbor and Dist from its workers.
 //
 // Link identity. Every processor owns link ids [0, Links()), a uniform
 // window even when degrees vary (a mesh corner has fewer edges than an
-// interior node): the engine sizes its per-processor out-slot and inbox
-// windows by Links(), and routing policies name moves by link id. Link
+// interior node): the engine sizes its per-link tables and contest
+// scratch by Links(), and routing policies name moves by link id. Link
 // ids that carry no edge at a given rank are legal policy vocabulary —
 // Neighbor reports ok=false and the engine treats requesting them as a
 // policy error — so Links() must be the maximum over ranks of the
 // per-rank degree, and no larger than necessary.
 //
-// Inbox slots. Neighbor also returns the receiver-side slot the edge
-// delivers into: slot s of rank r is written only by the unique directed
-// edge Neighbor maps to (r, s), which is what lets the engine's send
-// phase forward packets into a shared inbox slab with plain stores and
-// no per-slot synchronization. Slots live in [0, Links()) and their
-// meaning is otherwise topology-private; SlotSender is the inverse the
-// engine uses to attribute a received packet to its sender's directed
-// link (load accounting).
+// Edge slots. Neighbor also returns the receiver-side slot of the edge:
+// slot s of rank r belongs to the unique directed edge Neighbor maps to
+// (r, s), so a (receiver, slot) pair names a directed edge from the
+// receiver's side. Slots live in [0, Links()) and their meaning is
+// otherwise topology-private.
 //
 // Distances. Dist is the shortest-path hop count; the engine uses it for
 // activation budgets, monotonicity checking, and watchdog defaults, so
@@ -59,12 +56,6 @@ type Topology interface {
 	// (recv, slot) pair.
 	Neighbor(rank, link int) (recv, slot int, ok bool)
 
-	// SlotSender inverts Neighbor's slot mapping: given a receiver and a
-	// slot that some edge delivers into, it returns that edge's sender
-	// and the sender's link id. Behavior is undefined for slots no edge
-	// maps to.
-	SlotSender(recv, slot int) (sender, senderLink int)
-
 	// Reverse pairs (rank, link) with the opposite directed edge of the
 	// same physical edge: the neighbor reached and the neighbor's link id
 	// pointing back. ok is false when the link carries no edge. Fault
@@ -85,7 +76,7 @@ type Topology interface {
 // SameGeometry reports whether two topologies share the engine-facing
 // layout — processor count and link window — closely enough that a
 // network built for a can be Reset to b without rebuilding its
-// per-processor queues, out-slot slab, inbox slab, or step scratch.
+// per-processor queues or step scratch.
 // Mesh and torus of the same dimension and side share geometry (the
 // wrap flag is consulted live, never cached in engine storage); a mesh
 // never shares geometry with a clique even at equal N and Links,
