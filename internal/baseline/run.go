@@ -30,17 +30,12 @@ type RunOpts struct {
 // runner returns the run's pipeline runner on shape s: opts.Runner
 // Reset in place, or a fresh one.
 func (opts RunOpts) runner(s grid.Shape) *pipeline.Runner {
-	cfg := pipeline.Config{
+	return pipeline.Arm(opts.Runner, pipeline.Config{
 		Shape:      s,
 		ShardShift: opts.ShardShift,
 		Pool:       opts.Pool,
 		Observer:   opts.Observer,
-	}
-	if opts.Runner != nil {
-		opts.Runner.Reset(cfg)
-		return opts.Runner
-	}
-	return pipeline.New(cfg)
+	})
 }
 
 // ShearSort sorts one key per processor into the snake order of the

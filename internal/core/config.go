@@ -175,19 +175,14 @@ func (c Config) runner() *pipeline.Runner {
 // (centerStash) can reuse a previously built greedy policy instead of
 // allocating one per run.
 func (c Config) runnerWith(policy engine.Policy) *pipeline.Runner {
-	pcfg := pipeline.Config{
+	return pipeline.Arm(c.Runner, pipeline.Config{
 		Shape:      c.Shape,
 		ShardShift: c.ShardShift,
 		Pool:       c.Pool,
 		Policy:     policy,
 		Route:      c.RouteOpts(),
 		Observer:   c.Observer,
-	}
-	if c.Runner != nil {
-		c.Runner.Reset(pcfg)
-		return c.Runner
-	}
-	return pipeline.New(pcfg)
+	})
 }
 
 func (c Config) k() int {

@@ -50,19 +50,14 @@ type RouteConfig struct {
 // runner builds (or re-arms, when RouteConfig.Runner supplies a warm
 // runner) the pipeline runner a routing run executes on.
 func (c RouteConfig) runner() *pipeline.Runner {
-	pcfg := pipeline.Config{
+	return pipeline.Arm(c.Runner, pipeline.Config{
 		Shape:      c.Shape,
 		ShardShift: c.ShardShift,
 		Pool:       c.Pool,
 		Policy:     c.Policy(c.Shape),
 		Route:      c.RouteOpts(),
 		Observer:   c.Observer,
-	}
-	if c.Runner != nil {
-		c.Runner.Reset(pcfg)
-		return c.Runner
-	}
-	return pipeline.New(pcfg)
+	})
 }
 
 func (c RouteConfig) nu() int {

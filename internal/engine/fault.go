@@ -183,19 +183,22 @@ func (f *FaultPlan) Outage(rank, link, from, to int) {
 
 // LinkDown reports whether the directed link is unusable at the given
 // clock step (permanent failure or an active outage window). Nil-safe;
-// this is the grant-time query on the engine's hot path.
+// this is the grant-time query on the engine's hot path, so it stays
+// within the inlining budget (go build -gcflags=-m lists it): the
+// outage scan is a separate method, reached only for links with a
+// transient bit.
 func (f *FaultPlan) LinkDown(rank, link, clock int) bool {
 	if f == nil {
 		return false
 	}
-	i := f.idx(rank, link)
-	w, b := i>>6, uint(i)&63
-	if f.perm[w]&(1<<b) != 0 {
-		return true
-	}
-	if f.transient[w]&(1<<b) == 0 {
-		return false
-	}
+	i := rank*f.links + link
+	w, b := i>>6, uint64(1)<<(uint(i)&63)
+	return f.perm[w]&b != 0 || f.transient[w]&b != 0 && f.inOutage(i, clock)
+}
+
+// inOutage reports whether one of directed link i's outage windows
+// covers the clock step.
+func (f *FaultPlan) inOutage(i, clock int) bool {
 	for _, o := range f.outages[i] {
 		if clock >= o.From && clock < o.To {
 			return true

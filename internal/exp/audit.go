@@ -2,9 +2,8 @@ package exp
 
 import (
 	"meshsort/internal/core"
-	"meshsort/internal/perm"
+	"meshsort/internal/service"
 	"meshsort/internal/stats"
-	"meshsort/internal/xmath"
 )
 
 // E12QueueAudit certifies the model assumption: the multi-packet model
@@ -15,26 +14,21 @@ import (
 func E12QueueAudit(o Options) *stats.Table {
 	c := sortCase{3, 16, 4}
 	mesh := c.mesh()
-	torus := c.torus()
 	t := stats.NewTable(
 		"E12 — queue audit: peak packets per processor (multi-packet model requires O(1))",
 		"algorithm", "network", "maxq")
-
-	mcfg := core.Config{Shape: mesh, BlockSide: c.b, Seed: o.seed()}
-	tcfg := core.Config{Shape: torus, BlockSide: c.b, Seed: o.seed()}
-	t.Addf("SimpleSort", mesh.String(), runSort("SimpleSort", core.SimpleSort, mcfg).MaxQueue)
-	t.Addf("CopySort", mesh.String(), runSort("CopySort", core.CopySort, mcfg).MaxQueue)
-	t.Addf("FullSort", mesh.String(), runSort("FullSort", core.FullSort, mcfg).MaxQueue)
-	t.Addf("TorusSort", torus.String(), runSort("TorusSort", core.TorusSort, tcfg).MaxQueue)
-
-	two, err := core.TwoPhaseRoute(core.RouteConfig{Shape: mesh, BlockSide: c.b, Seed: o.seed()},
-		perm.Random(mesh, xmath.NewRNG(o.seed())))
-	if err != nil {
-		panic(err)
+	for _, a := range []struct{ name, alg string }{
+		{"SimpleSort", service.AlgSimple}, {"CopySort", service.AlgCopy},
+		{"FullSort", service.AlgFull}, {"TorusSort", service.AlgTorusSort},
+	} {
+		res := deliver(c.spec(a.alg, o.keySeed()))
+		t.Addf(a.name, res.Shape, res.MaxQueue)
 	}
-	t.Addf("TwoPhaseRoute", mesh.String(), two.MaxQueue)
+	two := run(c.spec(service.AlgRoute, o.seed()))
+	t.Addf("TwoPhaseRoute", two.Shape, two.MaxQueue)
 
-	sel, err := core.Select(mcfg, core.RandomKeys(mesh, 1, o.seed()), mesh.N()/2)
+	// Direct: its keys are seeded o.seed(), and a spec's keys start at seed 2.
+	sel, err := core.Select(core.Config{Shape: mesh, BlockSide: c.b, Seed: o.seed()}, core.RandomKeys(mesh, 1, o.seed()), mesh.N()/2)
 	if err != nil {
 		panic(err)
 	}

@@ -1,10 +1,10 @@
 package exp
 
 import (
-	"meshsort/internal/core"
 	"meshsort/internal/grid"
 	"meshsort/internal/index"
 	"meshsort/internal/lb"
+	"meshsort/internal/service"
 	"meshsort/internal/stats"
 )
 
@@ -21,6 +21,8 @@ func E7DiamondBounds(o Options) *stats.Table {
 	}
 	for _, d := range ds {
 		for _, gamma := range []float64{0.1, 0.2, 0.3} {
+			// Direct: the lower-bound tables count and evaluate formulas
+			// (internal/lb); nothing runs on a network.
 			dm := lb.NewDiamond(d, 8, gamma)
 			t.Addf(d, 8, gamma, dm.VolFrac, dm.VolBoundFrac, dm.VolTightness(),
 				dm.SurfFrac, dm.SurfBoundFrac, dm.Lemma41Holds())
@@ -43,6 +45,7 @@ func E8LowerBounds(o Options) []*stats.Table {
 		dmax = 256
 	}
 	for _, eps := range []float64{0.05, 0.1, 0.2, 0.3} {
+		// Direct: lower-bound formulas (internal/lb), not a run.
 		d0, b, ok := lb.Theorem41D0(eps, 8, dmax)
 		if !ok {
 			t1.Addf(eps, "-", "-", "-", "-", "-")
@@ -93,24 +96,17 @@ func E9Selection(o Options) []*stats.Table {
 	t1 := stats.NewTable(
 		"E9a (Section 4.3) — median selection to the center: upper bound ~1.0 x D",
 		"network", "b", "D", "route", "route/D", "candidates", "correct")
-	cases := []struct {
-		s grid.Shape
-		b int
-	}{
-		{grid.New(3, 16), 4}, {grid.New(3, 32), 8}, {grid.New(2, 64), 16}, {grid.NewTorus(3, 16), 4},
+	cases := []service.JobSpec{
+		{D: 3, N: 16, B: 4}, {D: 3, N: 32, B: 8}, {D: 2, N: 64, B: 16}, {D: 3, N: 16, B: 4, Torus: true},
 	}
 	if o.Quick {
 		cases = cases[:2]
 	}
-	for _, c := range cases {
-		cfg := core.Config{Shape: c.s, BlockSide: c.b, Seed: o.seed()}
-		keys := core.RandomKeys(c.s, 1, o.seed()+3)
-		res, err := core.Select(cfg, keys, c.s.N()/2)
-		if err != nil {
-			panic(err)
-		}
-		D := c.s.Diameter()
-		t1.Addf(c.s.String(), c.b, D, res.RouteSteps, float64(res.RouteSteps)/float64(D), res.Candidates, res.Delivered)
+	for _, spec := range cases {
+		// Target 0 selects the median; the keys are seeded Seed+1.
+		spec.Alg, spec.Seed = service.AlgSelect, o.seed()+2
+		res := run(spec)
+		t1.Addf(res.Shape, spec.B, res.Diameter, res.RouteSteps, ratio(res.RouteSteps, res.Diameter), res.Candidates, res.Delivered)
 	}
 
 	t2 := stats.NewTable(
@@ -121,6 +117,7 @@ func E9Selection(o Options) []*stats.Table {
 		ds = ds[:3]
 	}
 	for _, d := range ds {
+		// Direct: a lower-bound formula (internal/lb), not a run.
 		b := lb.Theorem45(d, 8, 0.05)
 		t2.Addf(d, b.EnterFrac, b.RuleOutFrac, b.Premise, b.LowerBound/float64(d*7))
 	}

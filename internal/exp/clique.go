@@ -3,13 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"meshsort/internal/core"
-	"meshsort/internal/grid"
-	"meshsort/internal/perm"
-	"meshsort/internal/route"
+	"meshsort/internal/service"
 	"meshsort/internal/stats"
-	"meshsort/internal/topo"
-	"meshsort/internal/xmath"
 )
 
 // E21CliqueRoute measures the first non-mesh workload (beyond the
@@ -22,45 +17,35 @@ import (
 // diameter-one analogue of Lenzen's O(1)-round congested-clique
 // routing. The mesh rows show what the same permutation costs under
 // the paper's bound D + 2nu + o(n): the Theta(d*n) diameter term the
-// clique's all-to-all wiring deletes. The bound column is k on the
-// clique and D + 2*EffectiveNu on the mesh; steps/bound is comparable
-// across both.
+// clique's all-to-all wiring deletes. The bound column is the run's
+// Bound, k on the clique and D + 2*EffectiveNu on the mesh; steps/bound
+// is comparable across both.
 func E21CliqueRoute(o Options) *stats.Table {
 	t := stats.NewTable(
 		"E21 (beyond the paper) — random k-relations on the congested clique (greedy direct routing, bound k) vs two-phase permutation routing on same-size meshes (bound D+2nu)",
 		"network", "N", "k", "packets", "steps", "bound", "steps/bound", "maxq")
 	sizes := []int{64, 256}
 	ks := []int{1, 2, 4, 8}
-	meshes := []grid.Shape{grid.New(2, 8), grid.New(2, 16)}
+	meshes := []int{8, 16} // 2-d sides
 	if o.Quick {
 		sizes = []int{64}
 		ks = []int{1, 4}
 		meshes = meshes[:1]
 	}
+	row := func(res service.Result, k int) {
+		t.Addf(res.Shape, res.N, k, k*res.N, res.RouteSteps, res.Bound, ratio(res.RouteSteps, res.Bound), res.MaxQueue)
+	}
 	for _, n := range sizes {
-		c := topo.NewClique(n)
 		for _, k := range ks {
-			prob := perm.RandomRanksK(n, k, xmath.NewRNG(o.seed()+uint64(31*n+k)))
-			res, _, err := route.RunTopoProblem(c, prob, route.BatchOpts{})
-			if err != nil {
-				panic(fmt.Sprintf("exp: E21 clique n=%d k=%d: %v", n, k, err))
+			res := run(service.JobSpec{Alg: service.AlgCliqueRoute, N: n, K: k, Seed: o.seed() + uint64(31*n+k)})
+			if res.RouteSteps > res.Bound {
+				panic(fmt.Sprintf("exp: E21 clique n=%d k=%d took %d steps, above the k-step bound", n, k, res.RouteSteps))
 			}
-			if res.Steps > k {
-				panic(fmt.Sprintf("exp: E21 clique n=%d k=%d took %d steps, above the k-step bound", n, k, res.Steps))
-			}
-			t.Addf(c.String(), n, k, prob.Size(), res.Steps, k, ratio(res.Steps, k), res.MaxQueue)
+			row(res, k)
 		}
 	}
-	for _, s := range meshes {
-		prob := perm.Random(s, xmath.NewRNG(o.seed()+uint64(s.N())))
-		res, err := core.TwoPhaseRoute(core.RouteConfig{Shape: s, BlockSide: 4, Seed: o.seed()}, prob)
-		if err != nil {
-			panic(fmt.Sprintf("exp: E21 mesh %v: %v", s, err))
-		}
-		if !res.Delivered {
-			panic(fmt.Sprintf("exp: E21 mesh %v did not deliver", s))
-		}
-		t.Addf(s.String(), s.N(), 1, prob.Size(), res.RouteSteps, res.Bound, ratio(res.RouteSteps, res.Bound), res.MaxQueue)
+	for _, side := range meshes {
+		row(deliver(service.JobSpec{Alg: service.AlgRoute, D: 2, N: side, B: 4, Seed: o.seed() + uint64(side*side)}), 1)
 	}
 	return t
 }

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,9 +10,10 @@ import (
 	"meshsort/internal/stats"
 )
 
-// The experiment functions certify correctness internally (runSort
-// panics on any unsorted outcome), so these tests run the quick sweeps
-// end-to-end and sanity-check the table shapes and headline invariants.
+// The experiment functions certify correctness internally (a sort that
+// does not sort, or a run above an asserted bound, panics), so these
+// tests run the quick sweeps end-to-end and sanity-check the table
+// shapes and headline invariants.
 
 var quick = Options{Quick: true, Seed: 1}
 
@@ -209,6 +212,35 @@ func TestE19DegradesGracefully(t *testing.T) {
 		if slow < 0.9 || slow > 50 {
 			t.Errorf("row %d: slowdown %v outside sane envelope", i, slow)
 		}
+	}
+}
+
+// TestTablesRepeatIdentically is a determinism re-run: it runs every
+// table that goes through the spec harness twice in one process and
+// requires identical tables. The second pass runs the tables as
+// parallel subtests, in reverse order, so under -race the detector sees
+// concurrent runs and would flag any package state they share.
+func TestTablesRepeatIdentically(t *testing.T) {
+	tables := map[string]func(Options) *stats.Table{
+		"E1": E1SimpleSortMesh, "E1b": E1bSeedStability, "E2": E2CopySortMesh, "E3": E3TorusSort,
+		"E4": E4Baselines, "E6": E6TwoPhaseRoute, "E9a": func(o Options) *stats.Table { return E9Selection(o)[0] },
+		"E10": E10KKSort, "E12": E12QueueAudit, "E13": E13AltEstimator, "E14": E14Derandomization,
+		"E17": E17RealLocalSort, "E18": E18QueueBlowup, "E19": E19FaultTolerance, "E20": E20PhaseTrace,
+		"E21": E21CliqueRoute, "E22": E22KKSortBound, "E23": E23SojournVsRate,
+	}
+	ids := slices.Sorted(maps.Keys(tables))
+	first := map[string]string{}
+	for _, id := range ids {
+		first[id] = tables[id](quick).String()
+	}
+	slices.Reverse(ids)
+	for _, id := range ids {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			if got := tables[id](quick).String(); got != first[id] {
+				t.Errorf("second run differs:\n%s\nfirst run:\n%s", got, first[id])
+			}
+		})
 	}
 }
 

@@ -1,14 +1,9 @@
 package exp
 
 import (
-	"fmt"
-
-	"meshsort/internal/engine"
 	"meshsort/internal/grid"
-	"meshsort/internal/perm"
-	"meshsort/internal/route"
+	"meshsort/internal/service"
 	"meshsort/internal/stats"
-	"meshsort/internal/xmath"
 )
 
 // E19FaultTolerance measures the robustness extension (beyond the
@@ -19,7 +14,8 @@ import (
 // the same permutation; stranded counts packets that could not be
 // delivered within the patience budget. At moderate failure rates the
 // detours deliver everything at a modest slowdown; stranding only
-// appears once failures begin to cut processors off entirely.
+// appears once failures begin to cut processors off entirely, so no
+// row is required to deliver.
 func E19FaultTolerance(o Options) *stats.Table {
 	t := stats.NewTable(
 		"E19 (robustness extension) — greedy routing of a random permutation under permanent link failures (detour policy)",
@@ -30,22 +26,18 @@ func E19FaultTolerance(o Options) *stats.Table {
 		s = grid.New(3, 8)
 		rates = []float64{0, 0.01, 0.05}
 	}
-	prob := perm.Random(s, xmath.NewRNG(o.seed()))
 	base := 0
 	for _, rate := range rates {
-		plan := engine.RandomFaultPlan(s, rate, o.seed()+29)
-		res, _, err := route.RunProblem(s, prob, route.BatchOpts{
-			Mode: route.ClassLocalRank, BlockSide: 4, Seed: o.seed(),
-			Faults: plan,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("exp: E19 rate %.3f: %v", rate, err))
+		spec := service.JobSpec{
+			Alg: service.AlgGreedyRoute, D: s.Dim, N: s.Side, B: 4, Seed: o.seed(),
+			Faults: rate, FaultSeed: o.seed() + 29,
 		}
+		res := run(spec)
 		if base == 0 {
-			base = res.Steps
+			base = res.RouteSteps
 		}
-		t.Addf(s.String(), rate, plan.DownEdges(), res.Steps,
-			float64(res.Steps)/float64(base), len(res.Stranded), res.MaxQueue)
+		t.Addf(res.Shape, rate, spec.FaultPlan().DownEdges(), res.RouteSteps,
+			ratio(res.RouteSteps, base), res.Stranded, res.MaxQueue)
 	}
 	return t
 }

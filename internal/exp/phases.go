@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"meshsort/internal/core"
-	"meshsort/internal/grid"
-	"meshsort/internal/perm"
+	"meshsort/internal/service"
 	"meshsort/internal/stats"
 )
 
@@ -18,24 +16,18 @@ func E20PhaseTrace(o Options) *stats.Table {
 	t := stats.NewTable(
 		"E20 — pipeline phase trace: per-phase steps vs. the paper's per-phase bounds (SimpleSort Thm 3.1; TwoPhaseRoute Thm 5.1)",
 		"algorithm", "phase", "kind", "steps", "bound", "maxdist", "maxq", "stranded")
-	add := func(alg string, phases []core.PhaseStat) {
-		for _, ph := range phases {
+	add := func(alg string, res service.Result) {
+		for _, ph := range res.Phases {
 			t.Addf(alg, ph.Name, ph.Kind, ph.Steps, ph.Bound, ph.MaxDist, ph.MaxQueue, ph.Stranded)
 		}
 	}
 
 	// The instance is fixed (not scaled by -quick): the table documents
 	// phase structure, not asymptotics, and must match across run modes.
-	shape := grid.New(3, 16)
-	cfg := core.Config{Shape: shape, BlockSide: 4, Seed: o.seed()}
-	res := runSort("SimpleSort", core.SimpleSort, cfg)
-	add("SimpleSort", res.Phases)
-
-	rcfg := core.RouteConfig{Shape: shape, BlockSide: 4, Seed: o.seed()}
-	two, err := core.TwoPhaseRoute(rcfg, perm.Reversal(shape))
-	if err != nil {
-		panic(err)
-	}
-	add("TwoPhaseRoute", two.Phases)
+	c := sortCase{3, 16, 4}
+	add("SimpleSort", deliver(c.spec(service.AlgSimple, o.keySeed())))
+	rev := c.spec(service.AlgRoute, o.seed())
+	rev.Perm = "reversal"
+	add("TwoPhaseRoute", run(rev))
 	return t
 }

@@ -1,13 +1,12 @@
 package exp
 
 import (
-	"fmt"
-
 	"meshsort/internal/core"
 	"meshsort/internal/grid"
 	"meshsort/internal/index"
 	"meshsort/internal/perm"
 	"meshsort/internal/route"
+	"meshsort/internal/service"
 	"meshsort/internal/stats"
 	"meshsort/internal/xmath"
 )
@@ -39,6 +38,7 @@ func E5GreedyMultiPerm(o Options) *stats.Table {
 	}
 	for _, c := range cases {
 		for _, k := range c.ks {
+			// Direct: k simultaneous permutations have no JobSpec form.
 			rep, err := route.MeasureMultiPerm(c.s, k, route.BatchOpts{
 				Mode: route.ClassLocalRank, BlockSide: c.b, Seed: o.seed(),
 			})
@@ -65,6 +65,7 @@ func E5bUnshuffle(o Options) *stats.Table {
 	}{
 		{grid.New(3, 8), 4}, {grid.NewTorus(3, 8), 4},
 	} {
+		// Direct: the unshuffle permutation is no JobSpec perm.
 		prob := perm.Unshuffle(index.BlockedSnake(c.s, c.b))
 		for _, k := range []int{1, 2, 4} {
 			rep, err := route.MeasureUnshuffles(c.s, prob, k, route.BatchOpts{
@@ -86,40 +87,21 @@ func E6TwoPhaseRoute(o Options) *stats.Table {
 	t := stats.NewTable(
 		"E6 (Theorems 5.1/5.2) — two-phase permutation routing vs. plain greedy (bound D + 2nu + o(n); nu = n/2 mesh, n/16 torus)",
 		"network", "perm", "D", "bound", "two-phase", "2ph/D", "greedy", "greedy/D")
-	type netCase struct {
-		s grid.Shape
-		b int
-	}
-	cases := []netCase{
-		{grid.New(3, 16), 4}, {grid.New(3, 32), 8}, {grid.NewTorus(3, 16), 4}, {grid.NewTorus(3, 32), 8},
+	cases := []service.JobSpec{
+		{D: 3, N: 16, B: 4}, {D: 3, N: 32, B: 8}, {D: 3, N: 16, B: 4, Torus: true}, {D: 3, N: 32, B: 8, Torus: true},
 	}
 	if o.Quick {
 		cases = cases[:2]
 	}
-	for _, c := range cases {
-		D := c.s.Diameter()
-		probs := []perm.Problem{
-			perm.Random(c.s, xmath.NewRNG(o.seed())),
-			perm.Reversal(c.s),
-			perm.Transpose(c.s),
-		}
-		for _, prob := range probs {
-			two, err := core.TwoPhaseRoute(core.RouteConfig{Shape: c.s, BlockSide: c.b, Seed: o.seed()}, prob)
-			if err != nil {
-				panic(err)
-			}
-			if !two.Delivered {
-				panic(fmt.Sprintf("E6: %v %s not delivered", c.s, prob.Name))
-			}
-			gr, _, err := route.RunProblem(c.s, prob, route.BatchOpts{
-				Mode: route.ClassLocalRank, BlockSide: c.b, Seed: o.seed(),
-			})
-			if err != nil {
-				panic(err)
-			}
-			t.Addf(c.s.String(), prob.Name, D, two.Bound,
-				two.RouteSteps, float64(two.RouteSteps)/float64(D),
-				gr.Steps, float64(gr.Steps)/float64(D))
+	for _, spec := range cases {
+		spec.Seed = o.seed()
+		for _, p := range []string{"random", "reversal", "transpose"} {
+			spec.Alg, spec.Perm = service.AlgRoute, p
+			two := deliver(spec)
+			spec.Alg = service.AlgGreedyRoute
+			gr := run(spec)
+			D := two.Diameter
+			t.Addf(two.Shape, p, D, two.Bound, two.RouteSteps, ratio(two.RouteSteps, D), gr.RouteSteps, ratio(gr.RouteSteps, D))
 		}
 	}
 	return t
@@ -138,6 +120,7 @@ func E6bMinNu(o Options) *stats.Table {
 	}
 	for _, c := range cases {
 		s := c.mesh()
+		// Direct: a property of the block geometry, not a run.
 		nu := core.MinNu(s, c.b)
 		D := s.Diameter()
 		t.Addf(c.d, c.n, c.b, D, nu, float64(nu)/float64(c.n), float64(D+2*nu)/float64(D))
@@ -160,24 +143,20 @@ func E14Derandomization(o Options) *stats.Table {
 	for _, c := range cases {
 		shape := c.mesh()
 		D := shape.Diameter()
-		cfg := core.Config{Shape: shape, BlockSide: c.b, Seed: o.seed()}
-		det := runSort("SimpleSort", core.SimpleSort, cfg)
-		rnd := runSort("RandSimpleSort", core.RandSimpleSort, cfg)
-		t.Addf("sort", shape.String(), "deterministic", det.RouteSteps, det.RouteRatio(), det.MergeRounds, det.MaxQueue)
+		det := deliver(c.spec(service.AlgSimple, o.keySeed()))
+		// Direct, as RandTwoPhaseRoute below: no JobSpec alg is randomized.
+		rnd := sortDirect(core.RandSimpleSort, core.Config{Shape: shape, BlockSide: c.b, Seed: o.seed()})
+		t.Addf("sort", shape.String(), "deterministic", det.RouteSteps, ratio(det.RouteSteps, D), det.MergeRounds, det.MaxQueue)
 		t.Addf("sort", shape.String(), "randomized", rnd.RouteSteps, rnd.RouteRatio(), rnd.MergeRounds, rnd.MaxQueue)
 
+		dr := run(c.spec(service.AlgRoute, o.seed()+5)) // the seed draws only the permutation
 		prob := perm.Random(shape, xmath.NewRNG(o.seed()+5))
-		rcfg := core.RouteConfig{Shape: shape, BlockSide: c.b, Seed: o.seed()}
-		dr, err := core.TwoPhaseRoute(rcfg, prob)
+		rr, err := core.RandTwoPhaseRoute(core.RouteConfig{Shape: shape, BlockSide: c.b, Seed: o.seed()}, prob)
 		if err != nil {
 			panic(err)
 		}
-		rr, err := core.RandTwoPhaseRoute(rcfg, prob)
-		if err != nil {
-			panic(err)
-		}
-		t.Addf("route", shape.String(), "deterministic", dr.RouteSteps, float64(dr.RouteSteps)/float64(D), "-", dr.MaxQueue)
-		t.Addf("route", shape.String(), "randomized", rr.RouteSteps, float64(rr.RouteSteps)/float64(D), "-", rr.MaxQueue)
+		t.Addf("route", shape.String(), "deterministic", dr.RouteSteps, ratio(dr.RouteSteps, D), "-", dr.MaxQueue)
+		t.Addf("route", shape.String(), "randomized", rr.RouteSteps, ratio(rr.RouteSteps, D), "-", rr.MaxQueue)
 	}
 	return t
 }
@@ -197,6 +176,7 @@ func E15OfflineRoute(o Options) *stats.Table {
 	for _, c := range cases {
 		shape := c.mesh()
 		cfg := core.Config{Shape: shape, BlockSide: c.b, Seed: o.seed()}
+		// Direct: off-line routing by sorting is no JobSpec alg.
 		for _, prob := range []perm.Problem{
 			perm.Random(shape, xmath.NewRNG(o.seed()+9)),
 			perm.Reversal(shape),
@@ -234,6 +214,7 @@ func E16KKRoutingBisection(o Options) *stats.Table {
 	}
 	for _, c := range cases {
 		for _, k := range []int{1, 2, 4, 8} {
+			// Direct: a k-k random instance has no JobSpec form.
 			rep, err := route.MeasureMultiPerm(c.s, k, route.BatchOpts{
 				Mode: route.ClassLocalRank, BlockSide: c.b, Seed: o.seed(),
 			})
@@ -271,35 +252,21 @@ func E18QueueBlowup(o Options) *stats.Table {
 	t := stats.NewTable(
 		"E18 — queue growth: plain greedy vs extended greedy vs two-phase (O(1) model audit)",
 		"network", "perm", "greedy maxq", "ext-greedy maxq", "two-phase maxq", "greedy steps", "two-phase steps")
-	type netCase struct {
-		s grid.Shape
-		b int
-	}
-	cases := []netCase{
-		{grid.New(2, 16), 4}, {grid.New(2, 32), 8}, {grid.New(2, 64), 16}, {grid.New(3, 32), 8},
-	}
+	cases := []service.JobSpec{{D: 2, N: 16, B: 4}, {D: 2, N: 32, B: 8}, {D: 2, N: 64, B: 16}, {D: 3, N: 32, B: 8}}
 	if o.Quick {
 		cases = cases[:2]
 	}
-	for _, c := range cases {
-		for _, prob := range []perm.Problem{perm.HotSpot(c.s), perm.Transpose(c.s), perm.Reversal(c.s)} {
-			gr, _, err := route.RunProblem(c.s, prob, route.BatchOpts{
-				Mode: route.ClassZero, Seed: o.seed(),
-			})
-			if err != nil {
-				panic(err)
-			}
-			ext, _, err := route.RunProblem(c.s, prob, route.BatchOpts{
-				Mode: route.ClassLocalRank, BlockSide: c.b, Seed: o.seed(),
-			})
-			if err != nil {
-				panic(err)
-			}
-			two, err := core.TwoPhaseRoute(core.RouteConfig{Shape: c.s, BlockSide: c.b, Seed: o.seed()}, prob)
-			if err != nil {
-				panic(err)
-			}
-			t.Addf(c.s.String(), prob.Name, gr.MaxQueue, ext.MaxQueue, two.MaxQueue, gr.Steps, two.RouteSteps)
+	for _, spec := range cases {
+		spec.Seed = o.seed()
+		for _, p := range []string{"hotspot", "transpose", "reversal"} {
+			greedy := spec
+			greedy.Alg, greedy.Perm, greedy.Classes = service.AlgGreedyRoute, p, "zero"
+			gr := run(greedy)
+			greedy.Classes = "local"
+			ext := run(greedy)
+			spec.Alg, spec.Perm = service.AlgRoute, p
+			two := run(spec)
+			t.Addf(two.Shape, p, gr.MaxQueue, ext.MaxQueue, two.MaxQueue, gr.RouteSteps, two.RouteSteps)
 		}
 	}
 	return t

@@ -6,6 +6,7 @@ import (
 	"meshsort/internal/baseline"
 	"meshsort/internal/core"
 	"meshsort/internal/grid"
+	"meshsort/internal/service"
 	"meshsort/internal/stats"
 )
 
@@ -16,12 +17,20 @@ func E1SimpleSortMesh(o Options) *stats.Table {
 		"E1 (Theorem 3.1) — SimpleSort on the d-dimensional mesh: bound 1.5 x D + o(n), no copies",
 		"d", "n", "b", "N", "D", "route", "route/D", "oracle(o(n))", "merges", "maxq")
 	for _, c := range meshSweep(o.Quick) {
-		cfg := core.Config{Shape: c.mesh(), BlockSide: c.b, Seed: o.seed()}
-		res := runSort("SimpleSort", core.SimpleSort, cfg)
-		t.Addf(c.d, c.n, c.b, cfg.Shape.N(), cfg.Shape.Diameter(),
-			res.RouteSteps, res.RouteRatio(), res.OracleSteps, res.MergeRounds, res.MaxQueue)
+		res := deliver(c.spec(service.AlgSimple, o.keySeed()))
+		t.Addf(c.d, c.n, c.b, res.N, res.Diameter,
+			res.RouteSteps, ratio(res.RouteSteps, res.Diameter), res.OracleSteps, res.MergeRounds, res.MaxQueue)
 	}
 	return t
+}
+
+// copySortTable is the table shape of E2 and E3: routing steps and the
+// largest packet-copy distance after the center sort, both against D.
+func copySortTable(title string) (*stats.Table, func(c sortCase, D, route, pairDist, merges, maxq int)) {
+	t := stats.NewTable(title, "d", "n", "b", "D", "route", "route/D", "pairdist", "pairdist/D", "merges", "maxq")
+	return t, func(c sortCase, D, route, pairDist, merges, maxq int) {
+		t.Addf(c.d, c.n, c.b, D, route, ratio(route, D), pairDist, ratio(pairDist, D), merges, maxq)
+	}
 }
 
 // E2CopySortMesh measures Theorem 3.2: CopySort against 5D/4 + o(n).
@@ -29,19 +38,16 @@ func E1SimpleSortMesh(o Options) *stats.Table {
 // affordable side (n=4, where block granularity is coarse), and the
 // low-d rows show the measured behaviour outside the theorem's regime.
 func E2CopySortMesh(o Options) *stats.Table {
-	t := stats.NewTable(
-		"E2 (Theorem 3.2) — CopySort on the d-dimensional mesh: bound 1.25 x D + o(n) for d >= 8, one copy per packet",
-		"d", "n", "b", "D", "route", "route/D", "pairdist", "pairdist/D", "merges", "maxq")
-	cases := meshSweep(o.Quick)
-	if !o.Quick {
-		cases = append(cases, sortCase{8, 4, 2})
+	t, row := copySortTable("E2 (Theorem 3.2) — CopySort on the d-dimensional mesh: bound 1.25 x D + o(n) for d >= 8, one copy per packet")
+	for _, c := range meshSweep(o.Quick) {
+		res := deliver(c.spec(service.AlgCopy, o.keySeed()))
+		row(c, res.Diameter, res.RouteSteps, res.MaxPairDist, res.MergeRounds, res.MaxQueue)
 	}
-	for _, c := range cases {
-		cfg := core.Config{Shape: c.mesh(), BlockSide: c.b, Seed: o.seed()}
-		res := runSort("CopySort", core.CopySort, cfg)
-		D := cfg.Shape.Diameter()
-		t.Addf(c.d, c.n, c.b, D, res.RouteSteps, res.RouteRatio(),
-			res.MaxPairDist, float64(res.MaxPairDist)/float64(D), res.MergeRounds, res.MaxQueue)
+	if !o.Quick {
+		// Direct: d=8 is above service.MaxDim, the JobSpec dimension ceiling.
+		c := sortCase{8, 4, 2}
+		res := sortDirect(core.CopySort, core.Config{Shape: c.mesh(), BlockSide: c.b, Seed: o.seed()})
+		row(c, c.mesh().Diameter(), res.RouteSteps, res.MaxPairDist, res.MergeRounds, res.MaxQueue)
 	}
 	return t
 }
@@ -50,15 +56,10 @@ func E2CopySortMesh(o Options) *stats.Table {
 // D = d*n/2 on the torus. The pairdist column checks Lemma 3.4
 // (bound D/2 + o(n)).
 func E3TorusSort(o Options) *stats.Table {
-	t := stats.NewTable(
-		"E3 (Theorem 3.3) — TorusSort on the d-dimensional torus: bound 1.5 x D + o(n) (D = dn/2)",
-		"d", "n", "b", "D", "route", "route/D", "pairdist", "pairdist/D", "merges", "maxq")
+	t, row := copySortTable("E3 (Theorem 3.3) — TorusSort on the d-dimensional torus: bound 1.5 x D + o(n) (D = dn/2)")
 	for _, c := range torusSweep(o.Quick) {
-		cfg := core.Config{Shape: c.torus(), BlockSide: c.b, Seed: o.seed()}
-		res := runSort("TorusSort", core.TorusSort, cfg)
-		D := cfg.Shape.Diameter()
-		t.Addf(c.d, c.n, c.b, D, res.RouteSteps, res.RouteRatio(),
-			res.MaxPairDist, float64(res.MaxPairDist)/float64(D), res.MergeRounds, res.MaxQueue)
+		res := deliver(c.spec(service.AlgTorusSort, o.keySeed()))
+		row(c, res.Diameter, res.RouteSteps, res.MaxPairDist, res.MergeRounds, res.MaxQueue)
 	}
 	return t
 }
@@ -77,23 +78,23 @@ func E4Baselines(o Options) *stats.Table {
 	t := stats.NewTable(
 		fmt.Sprintf("E4 — baseline comparison on %v (D=%d): who wins and by what factor", shape, D),
 		"algorithm", "bound/D", "route", "route/D", "total", "notes")
-	cfg := core.Config{Shape: shape, BlockSide: c.b, Seed: o.seed()}
+	for _, a := range []struct{ name, alg, bound, notes string }{
+		{"FullSort", service.AlgFull, "2.00", "previous best [KSS94]"},
+		{"SimpleSort", service.AlgSimple, "1.50", "Thm 3.1, no copies"},
+		{"CopySort", service.AlgCopy, "1.25", "Thm 3.2, bound needs d>=8"},
+	} {
+		res := deliver(c.spec(a.alg, o.keySeed()))
+		t.Addf(a.name, a.bound, res.RouteSteps, ratio(res.RouteSteps, D), res.TotalSteps, a.notes)
+	}
 
-	full := runSort("FullSort", core.FullSort, cfg)
-	simple := runSort("SimpleSort", core.SimpleSort, cfg)
-	copy := runSort("CopySort", core.CopySort, cfg)
-	t.Addf("FullSort", "2.00", full.RouteSteps, full.RouteRatio(), full.TotalSteps, "previous best [KSS94]")
-	t.Addf("SimpleSort", "1.50", simple.RouteSteps, simple.RouteRatio(), simple.TotalSteps, "Thm 3.1, no copies")
-	t.Addf("CopySort", "1.25", copy.RouteSteps, copy.RouteRatio(), copy.TotalSteps, "Thm 3.2, bound needs d>=8")
-
-	// Odd-even transposition on a smaller mesh (Theta(N) steps).
+	// Odd-even transposition on a smaller mesh (Theta(N) steps). Direct:
+	// its keys are seeded o.seed(), and a spec's keys start at seed 2.
 	small := grid.New(3, 8)
-	keys := core.RandomKeys(small, 1, o.seed())
-	oe, err := baseline.RunOddEven(small, keys, baseline.RunOpts{})
+	oe, err := baseline.RunOddEven(small, core.RandomKeys(small, 1, o.seed()), baseline.RunOpts{})
 	if err != nil {
 		panic(err)
 	}
-	t.Addf("OddEven(3d,n=8)", "N/D", oe.TotalSteps, float64(oe.TotalSteps)/float64(small.Diameter()), oe.TotalSteps, "classic Theta(N) sorter")
+	t.Addf("OddEven(3d,n=8)", "N/D", oe.TotalSteps, ratio(oe.TotalSteps, small.Diameter()), oe.TotalSteps, "classic Theta(N) sorter")
 	return t
 }
 
@@ -116,9 +117,10 @@ func E10KKSort(o Options) *stats.Table {
 		cases = cases[:3]
 	}
 	for _, tc := range cases {
-		cfg := core.Config{Shape: tc.c.mesh(), BlockSide: tc.c.b, K: tc.k, Seed: o.seed()}
-		res := runSort("SimpleSort", core.SimpleSort, cfg)
-		t.Addf(tc.c.d, tc.c.n, tc.c.b, tc.k, res.RouteSteps, res.RouteRatio(), res.MaxQueue)
+		spec := tc.c.spec(service.AlgSimple, o.keySeed())
+		spec.K = tc.k
+		res := deliver(spec)
+		t.Addf(tc.c.d, tc.c.n, tc.c.b, tc.k, res.RouteSteps, ratio(res.RouteSteps, res.Diameter), res.MaxQueue)
 	}
 	return t
 }
@@ -155,10 +157,10 @@ func E11CenterRadius(o Options) *stats.Table {
 				r = far
 			}
 		}
-		cfg := core.Config{Shape: shape, BlockSide: c.b, CenterCount: count, Seed: o.seed()}
-		res := runSort("SimpleSort", core.SimpleSort, cfg)
-		t.Addf(region.Size(), float64(region.Size())/float64(B), r,
-			float64(D+2*r)/float64(D), res.RouteSteps, res.RouteRatio(), res.MergeRounds, res.MaxQueue)
+		// Direct: the center region's size (CenterCount) is no JobSpec field.
+		res := sortDirect(core.SimpleSort, core.Config{Shape: shape, BlockSide: c.b, CenterCount: count, Seed: o.seed()})
+		t.Addf(region.Size(), ratio(region.Size(), B), r,
+			ratio(D+2*r, D), res.RouteSteps, res.RouteRatio(), res.MergeRounds, res.MaxQueue)
 	}
 	return t
 }
@@ -178,15 +180,16 @@ func E13AltEstimator(o Options) *stats.Table {
 	}
 	for _, c := range cases {
 		bs := grid.Blocks(c.mesh(), c.b)
-		ratio := float64(bs.Count()*bs.Count()) / float64(2*bs.Volume())
+		fill := ratio(bs.Count()*bs.Count(), 2*bs.Volume())
 		for _, alt := range []bool{false, true} {
-			cfg := core.Config{Shape: c.mesh(), BlockSide: c.b, Seed: o.seed(), AltEstimator: alt}
-			res := runSort("SimpleSort", core.SimpleSort, cfg)
+			spec := c.spec(service.AlgSimple, o.keySeed())
+			spec.AltEstimator = alt
+			res := deliver(spec)
 			name := "paper (i*R+j')"
 			if alt {
 				name = "corrected"
 			}
-			t.Addf(c.d, c.n, c.b, ratio, name, res.RouteRatio(), res.MergeRounds, res.TotalSteps)
+			t.Addf(c.d, c.n, c.b, fill, name, ratio(res.RouteSteps, res.Diameter), res.MergeRounds, res.TotalSteps)
 		}
 	}
 	return t
@@ -206,18 +209,18 @@ func E17RealLocalSort(o Options) *stats.Table {
 		cases = cases[:1]
 	}
 	for _, c := range cases {
-		for _, alg := range []struct {
-			name string
-			fn   func(core.Config, []int64) (core.Result, error)
-		}{{"SimpleSort", core.SimpleSort}, {"CopySort", core.CopySort}} {
+		for _, alg := range []struct{ name, alg string }{
+			{"SimpleSort", service.AlgSimple}, {"CopySort", service.AlgCopy},
+		} {
 			for _, real := range []bool{false, true} {
-				cfg := core.Config{Shape: c.mesh(), BlockSide: c.b, Seed: o.seed(), RealLocalSort: real}
-				res := runSort(alg.name, alg.fn, cfg)
+				spec := c.spec(alg.alg, o.keySeed())
+				spec.RealLocalSort = real
+				res := deliver(spec)
 				mode := "oracle (3db charge)"
 				if real {
 					mode = "shearsort (simulated)"
 				}
-				t.Addf(alg.name, c.d, c.n, c.b, mode, res.RouteSteps, res.OracleSteps, res.TotalSteps, res.TotalRatio())
+				t.Addf(alg.name, c.d, c.n, c.b, mode, res.RouteSteps, res.OracleSteps, res.TotalSteps, ratio(res.TotalSteps, res.Diameter))
 			}
 		}
 	}
@@ -230,20 +233,18 @@ func E17RealLocalSort(o Options) *stats.Table {
 // keys.
 func E1bSeedStability(o Options) *stats.Table {
 	c := sortCase{3, 16, 4}
-	shape := c.mesh()
 	seeds := 10
 	if o.Quick {
 		seeds = 3
 	}
 	var route, merges stats.Summary
 	for s := 0; s < seeds; s++ {
-		cfg := core.Config{Shape: shape, BlockSide: c.b, Seed: o.seed() + uint64(s)}
-		res := runSort("SimpleSort", core.SimpleSort, cfg)
+		res := deliver(c.spec(service.AlgSimple, o.keySeed()+uint64(s)))
 		route.Observe(float64(res.RouteSteps))
 		merges.Observe(float64(res.MergeRounds))
 	}
 	t := stats.NewTable(
-		fmt.Sprintf("E1b — SimpleSort seed stability on %v (%d random inputs)", shape, seeds),
+		fmt.Sprintf("E1b — SimpleSort seed stability on %v (%d random inputs)", c.mesh(), seeds),
 		"quantity", "min", "mean", "max", "std")
 	t.Addf("route steps", route.Min, route.Mean(), route.Max, route.Std())
 	t.Addf("merge rounds", merges.Min, merges.Mean(), merges.Max, merges.Std())

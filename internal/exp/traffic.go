@@ -3,11 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"meshsort/internal/core"
 	"meshsort/internal/grid"
-	"meshsort/internal/route"
+	"meshsort/internal/service"
 	"meshsort/internal/stats"
-	"meshsort/internal/topo"
 	"meshsort/internal/traffic"
 )
 
@@ -15,9 +13,11 @@ import (
 // must finish its routing within 3D/2 + o(n), with the o(n) block terms
 // scaled by the packet multiplicity (one block diameter k*b*d per extra
 // packet layer — the instantiation recorded as the phase bound in
-// core.SimpleSort). Unlike E10, which only reports the measured steps,
-// this experiment asserts the bound: a run above it panics, so the
-// experiments harness doubles as a regression gate on the corollary.
+// core.SimpleSort, whose two routing phases sum to the run's Bound).
+// Unlike E10, which only reports the measured steps, this experiment
+// asserts the bound: a recorded bound other than the corollary's
+// formula, or a run above it, panics, so the experiments harness
+// doubles as a regression gate on the corollary.
 func E22KKSortBound(o Options) *stats.Table {
 	t := stats.NewTable(
 		"E22 (Corollary 3.1.1, asserted) — k-k SimpleSort routing steps vs the bound 2*(3D/4 + k*b*d/2)",
@@ -33,18 +33,21 @@ func E22KKSortBound(o Options) *stats.Table {
 		cases = cases[:2]
 	}
 	for _, tc := range cases {
-		shape := tc.c.mesh()
-		D := shape.Diameter()
-		cfg := core.Config{Shape: shape, BlockSide: tc.c.b, K: tc.k, Seed: o.seed()}
-		res := runSort("SimpleSort", core.SimpleSort, cfg)
-		// Two routing phases, each bounded by 3D/4 plus the k-scaled
-		// block terms; matches the per-phase bound SimpleSort records.
-		bound := 2 * (3*D/4 + tc.k*tc.c.b*tc.c.d/2)
-		if res.RouteSteps > bound {
-			panic(fmt.Sprintf("exp: E22 d=%d n=%d k=%d routed in %d steps, above the Cor 3.1.1 bound %d",
-				tc.c.d, tc.c.n, tc.k, res.RouteSteps, bound))
+		spec := tc.c.spec(service.AlgSimple, o.keySeed())
+		spec.K = tc.k
+		res := deliver(spec)
+		// The bound is the one SimpleSort records; pin it to the
+		// corollary's formula so a loosened phase bound cannot carry
+		// the assertion with it.
+		if want := 2 * (3*res.Diameter/4 + tc.k*tc.c.b*tc.c.d/2); res.Bound != want {
+			panic(fmt.Sprintf("exp: E22 d=%d n=%d k=%d recorded bound %d, want the Cor 3.1.1 bound %d",
+				tc.c.d, tc.c.n, tc.k, res.Bound, want))
 		}
-		t.Addf(tc.c.d, tc.c.n, tc.c.b, tc.k, D, res.RouteSteps, bound, ratio(res.RouteSteps, bound), res.MaxQueue)
+		if res.RouteSteps > res.Bound {
+			panic(fmt.Sprintf("exp: E22 d=%d n=%d k=%d routed in %d steps, above the Cor 3.1.1 bound %d",
+				tc.c.d, tc.c.n, tc.k, res.RouteSteps, res.Bound))
+		}
+		t.Addf(tc.c.d, tc.c.n, tc.c.b, tc.k, res.Diameter, res.RouteSteps, res.Bound, ratio(res.RouteSteps, res.Bound), res.MaxQueue)
 	}
 	return t
 }
@@ -64,7 +67,6 @@ func E23SojournVsRate(o Options) *stats.Table {
 	if o.Quick {
 		shape = grid.New(2, 8)
 	}
-	load := traffic.Load{Demand: traffic.KRelation, K: 2, Seed: o.seed()}
 	t := stats.NewTable(
 		fmt.Sprintf("E23 (beyond the paper) — sojourn percentiles vs injection rate: 2-relation on %v, greedy routing", shape),
 		"inject", "packets", "steps", "p50", "p95", "p99", "max", "maxq")
@@ -74,19 +76,21 @@ func E23SojournVsRate(o Options) *stats.Table {
 	}
 	scheds := make([]traffic.Schedule, 0, len(rates)+1)
 	for _, r := range rates {
-		scheds = append(scheds, traffic.Schedule{Arrival: traffic.Trickle, Rate: r, Seed: o.seed() + 1})
+		scheds = append(scheds, traffic.Schedule{Arrival: traffic.Trickle, Rate: r})
 	}
 	scheds = append(scheds, traffic.Schedule{Arrival: traffic.Batch})
 	for _, sc := range scheds {
-		res, _, err := route.RunTimedLoad(topo.FromShape(shape), load, sc, route.BatchOpts{})
-		if err != nil {
-			panic(fmt.Sprintf("exp: E23 %v under %v: %v", load, sc, err))
-		}
+		// service.Run seeds the demand with Seed and the arrivals with
+		// Seed+1.
+		res := run(service.JobSpec{
+			Alg: service.AlgTraffic, D: shape.Dim, N: shape.Side,
+			Load: "k:2", Inject: sc.String(), Seed: o.seed(),
+		})
 		soj := res.Sojourn
-		if soj.Count == 0 {
-			panic(fmt.Sprintf("exp: E23 %v under %v: no sojourn samples", load, sc))
+		if soj == nil {
+			panic(fmt.Sprintf("exp: E23 k:2 under %v: no sojourn samples", sc))
 		}
-		t.Addf(sc.String(), soj.Count, res.Steps, soj.P50, soj.P95, soj.P99, soj.Max, res.MaxQueue)
+		t.Addf(sc.String(), soj.Count, res.RouteSteps, soj.P50, soj.P95, soj.P99, soj.Max, res.MaxQueue)
 	}
 	return t
 }

@@ -364,6 +364,17 @@ func (r *Runner) Reset(cfg Config) {
 	r.last = engine.RouteResult{}
 }
 
+// Arm returns the runner a run executes on: the caller's warm runner r
+// Reset to cfg, or a fresh one when r is nil. Every entry point that
+// accepts an optional warm runner arms it here.
+func Arm(r *Runner, cfg Config) *Runner {
+	if r == nil {
+		return New(cfg)
+	}
+	r.Reset(cfg)
+	return r
+}
+
 // Report returns the run's report folded so far. TotalSteps always
 // reflects the current clock, so after a mid-program error the report
 // carries the completed prefix's phases plus the aborted phase's clock.

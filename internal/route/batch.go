@@ -7,6 +7,7 @@ import (
 	"meshsort/internal/grid"
 	"meshsort/internal/perm"
 	"meshsort/internal/pipeline"
+	"meshsort/internal/stats"
 	"meshsort/internal/topo"
 	"meshsort/internal/xmath"
 )
@@ -76,11 +77,30 @@ func RunProblem(s grid.Shape, prob perm.Problem, opts BatchOpts) (engine.RouteRe
 // mesh concept (classes rotate the dimension scan), so on non-mesh
 // topologies every packet keeps class 0 and opts.Mode is ignored.
 func RunTopoProblem(t topo.Topology, prob perm.Problem, opts BatchOpts) (engine.RouteResult, *engine.Net, error) {
+	return opts.route(t, "greedy", nil, nil, func(net *engine.Net) error {
+		pkts := make([]*engine.Packet, prob.Size())
+		for i := range pkts {
+			p := net.NewPacket(int64(prob.Dst[i]), prob.Src[i])
+			p.Dst = prob.Dst[i]
+			pkts[i] = p
+		}
+		opts.assignClasses(t, pkts)
+		net.Inject(pkts)
+		return nil
+	})
+}
+
+// route is the one body of RunTopoProblem and RunTimedLoad: it arms the
+// runner for topology t under the options, with the arrivals plan and
+// sojourn histogram (both nil for a batch problem) in its route options,
+// and routes one phase whose Prepare creates the packets.
+func (opts BatchOpts) route(t topo.Topology, name string, arr *engine.Arrivals, soj *stats.Hist,
+	prepare func(net *engine.Net) error) (engine.RouteResult, *engine.Net, error) {
 	pol := opts.Policy
 	if pol == nil {
 		pol = DefaultPolicy(t, opts.Faults)
 	}
-	cfg := pipeline.Config{
+	runner := pipeline.Arm(opts.Runner, pipeline.Config{
 		Topo:       t,
 		ShardShift: opts.ShardShift,
 		Pool:       opts.Pool,
@@ -92,31 +112,26 @@ func RunTopoProblem(t topo.Topology, prob perm.Problem, opts BatchOpts) (engine.
 			NoProgress: opts.NoProgress,
 			Paranoid:   opts.Paranoid,
 			Cancel:     opts.Cancel,
+			Arrivals:   arr,
+			Sojourn:    soj,
 		},
 		Observer: opts.Observer,
-	}
-	runner := opts.Runner
-	if runner != nil {
-		runner.Reset(cfg)
-	} else {
-		runner = pipeline.New(cfg)
-	}
+	})
 	net := runner.Net()
 	if opts.CountLoads {
 		net.SetCountLoads(true)
 	}
-	pkts := make([]*engine.Packet, prob.Size())
-	for i := range pkts {
-		p := net.NewPacket(int64(prob.Dst[i]), prob.Src[i])
-		p.Dst = prob.Dst[i]
-		pkts[i] = p
-	}
+	err := runner.Run(pipeline.Route{Name: name, Prepare: prepare})
+	return runner.LastRoute(), net, err
+}
+
+// assignClasses gives pkts the options' classes on a mesh or torus.
+// Class assignment is a mesh concept (classes rotate the dimension
+// scan), so on other topologies every packet keeps class 0.
+func (opts BatchOpts) assignClasses(t topo.Topology, pkts []*engine.Packet) {
 	if s, ok := topo.MeshShape(t); ok {
 		AssignClasses(s, pkts, nil, opts.Mode, opts.BlockSide, opts.Seed)
 	}
-	net.Inject(pkts)
-	err := runner.Run(pipeline.Route{Name: "greedy"})
-	return runner.LastRoute(), net, err
 }
 
 // AssignClasses sets Packet.Class for a batch of packets. locs gives the

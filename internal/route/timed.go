@@ -2,7 +2,6 @@ package route
 
 import (
 	"meshsort/internal/engine"
-	"meshsort/internal/pipeline"
 	"meshsort/internal/stats"
 	"meshsort/internal/topo"
 	"meshsort/internal/traffic"
@@ -22,58 +21,22 @@ import (
 // arbitrary timed (ℓ,k) demand has no theorem bound, the latency
 // distribution is the measurement.
 func RunTimedLoad(t topo.Topology, load traffic.Load, sched traffic.Schedule, opts BatchOpts) (engine.RouteResult, *engine.Net, error) {
-	pol := opts.Policy
-	if pol == nil {
-		pol = DefaultPolicy(t, opts.Faults)
-	}
 	// The plan is built inside Prepare (packet creation needs the reset
 	// network), but the engine reads it from RouteOpts, which are fixed
 	// at runner configuration — so the options carry an empty plan that
 	// Prepare fills in place.
 	arr := &engine.Arrivals{}
-	var soj stats.Hist
-	cfg := pipeline.Config{
-		Topo:       t,
-		ShardShift: opts.ShardShift,
-		Pool:       opts.Pool,
-		Policy:     pol,
-		Route: engine.RouteOpts{
-			MaxSteps:   opts.MaxSteps,
-			Faults:     opts.Faults,
-			Patience:   opts.Patience,
-			NoProgress: opts.NoProgress,
-			Paranoid:   opts.Paranoid,
-			Cancel:     opts.Cancel,
-			Arrivals:   arr,
-			Sojourn:    &soj,
-		},
-		Observer: opts.Observer,
-	}
-	runner := opts.Runner
-	if runner != nil {
-		runner.Reset(cfg)
-	} else {
-		runner = pipeline.New(cfg)
-	}
-	net := runner.Net()
-	if opts.CountLoads {
-		net.SetCountLoads(true)
-	}
-	prepare := func(net *engine.Net) error {
+	return opts.route(t, "timed-"+load.String(), arr, new(stats.Hist), func(net *engine.Net) error {
 		plan, err := traffic.Build(net, load, sched)
 		if err != nil {
 			return err
 		}
-		if s, ok := topo.MeshShape(t); ok {
-			pkts := make([]*engine.Packet, len(plan.IDs))
-			for i, id := range plan.IDs {
-				pkts[i] = net.Packet(id)
-			}
-			AssignClasses(s, pkts, nil, opts.Mode, opts.BlockSide, opts.Seed)
+		pkts := make([]*engine.Packet, len(plan.IDs))
+		for i, id := range plan.IDs {
+			pkts[i] = net.Packet(id)
 		}
+		opts.assignClasses(t, pkts)
 		*arr = *plan
 		return nil
-	}
-	err := runner.Run(pipeline.Route{Name: "timed-" + load.String(), Prepare: prepare})
-	return runner.LastRoute(), net, err
+	})
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"meshsort/internal/core"
+	"meshsort/internal/pipeline"
 )
 
 // expectedKeySum computes the reference digest for a sorting spec: the
@@ -215,6 +217,64 @@ func TestMixedShapeStorm(t *testing.T) {
 		t.Errorf("simulations=%d + cacheHits=%d < 64", m.Simulations, m.CacheHits)
 	}
 	s.Close()
+}
+
+// TestWarmRunnerAcrossAlgorithms runs every algorithm on one runner per
+// network shape, in an order that makes each run but a shape's first
+// re-arm a runner another algorithm left warm, and requires every Result
+// to equal the same spec's Result on a fresh runner. The storm above
+// checks only key digests; this compares every reported figure.
+func TestWarmRunnerAcrossAlgorithms(t *testing.T) {
+	specs := []JobSpec{
+		{Alg: AlgSimple, D: 2, N: 8, K: 2, Seed: 1},
+		{Alg: AlgRoute, D: 2, N: 8, Perm: "transpose", Seed: 2},
+		{Alg: AlgSelect, D: 2, N: 8, Seed: 3},
+		{Alg: AlgGreedyRoute, D: 2, N: 8, Faults: 0.05, FaultSeed: 7, Seed: 4},
+		{Alg: AlgFull, D: 2, N: 8, RealLocalSort: true, Seed: 5},
+		{Alg: AlgTraffic, D: 2, N: 8, Load: "k:2", Inject: "trickle:4", Seed: 6},
+		{Alg: AlgCopy, D: 2, N: 8, Seed: 7},
+		{Alg: AlgOddEven, D: 2, N: 8, Seed: 8},
+		{Alg: AlgShear, D: 2, N: 8, Seed: 9},
+		{Alg: AlgSimple, D: 2, N: 8, AltEstimator: true, Seed: 10},
+		{Alg: AlgTorusSort, D: 2, N: 8, Seed: 11},
+		{Alg: AlgGreedyRoute, D: 2, N: 8, Torus: true, Perm: "reversal", Seed: 12},
+		{Alg: AlgSelect, D: 2, N: 8, Torus: true, Seed: 13},
+		{Alg: AlgCliqueRoute, N: 16, K: 3, Seed: 14},
+		{Alg: AlgCliqueRoute, N: 16, K: 1, Faults: 0.05, Seed: 15},
+	}
+	run := func(spec JobSpec, r *pipeline.Runner) string {
+		t.Helper()
+		res, err := Run(context.Background(), spec, Env{Runner: r})
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		for i := range res.Phases {
+			ph := &res.Phases[i]
+			ph.StepsPerSec, ph.WorkerUtil = 0, 0
+		}
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	warm := map[string]*pipeline.Runner{}
+	for _, spec := range specs {
+		spec, err := spec.Canonicalize()
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		r := warm[spec.ShapeKey()]
+		if r == nil {
+			r = pipeline.New(pipeline.Config{Topo: spec.Topo()})
+			warm[spec.ShapeKey()] = r
+		}
+		fresh := run(spec, pipeline.New(pipeline.Config{Topo: spec.Topo()}))
+		if got := run(spec, r); got != fresh {
+			t.Errorf("%s on %s: warm runner result differs from a fresh one\nwarm:  %s\nfresh: %s",
+				spec.Alg, spec.ShapeKey(), got, fresh)
+		}
+	}
 }
 
 // TestOverloadBackpressure: a full admission queue is an explicit
